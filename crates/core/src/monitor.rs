@@ -140,6 +140,29 @@ impl Monitor {
     /// Creates a monitor on a modified VAX with the given configuration.
     pub fn new(config: MonitorConfig) -> Monitor {
         let machine = Machine::new(MachineVariant::Modified, config.mem_bytes);
+        Monitor::on_machine(machine, config)
+    }
+
+    /// Creates a monitor whose modified VAX runs on `mem` instead of a
+    /// fresh zeroed memory — snapshot restore and copy-on-write fork
+    /// build the monitor directly over the memory they will run on, then
+    /// replay VM creation with [`Monitor::recreate_vm`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mem` is not the size [`Monitor::new`] would allocate
+    /// for `config`; snapshot loaders validate first.
+    pub fn with_mem(config: MonitorConfig, mem: vax_mem::PhysMemory) -> Monitor {
+        assert_eq!(
+            mem.size(),
+            config.mem_bytes.div_ceil(512) * 512,
+            "memory size disagrees with the monitor configuration"
+        );
+        let machine = Machine::with_mem(MachineVariant::Modified, mem);
+        Monitor::on_machine(machine, config)
+    }
+
+    fn on_machine(machine: Machine, config: MonitorConfig) -> Monitor {
         let total_frames = config.mem_bytes / 512;
         Monitor {
             machine,
@@ -181,8 +204,28 @@ impl Monitor {
     /// Creates a VM. Its memory is a fixed contiguous block of real
     /// memory presented as guest-physical pages `0..mem_pages` (paper §4).
     pub fn create_vm(&mut self, name: &str, config: VmConfig) -> VmId {
+        self.add_vm(name, config, true)
+    }
+
+    /// Re-creates a VM on a monitor built over memory that already holds
+    /// its tables ([`Monitor::with_mem`]): the same deterministic frame
+    /// allocation as [`Monitor::create_vm`] — VM memory block, real SPT,
+    /// shadow process tables — but the SPT and shadow-table contents are
+    /// left as the memory has them instead of being written fresh. A
+    /// snapshot restore or a copy-on-write fork replays its VMs this way
+    /// and then overwrites the returned VM's state; on a forked memory,
+    /// skipping the table writes is what keeps them shared.
+    pub fn recreate_vm(&mut self, name: &str, config: VmConfig) -> VmId {
+        self.add_vm(name, config, false)
+    }
+
+    fn add_vm(&mut self, name: &str, config: VmConfig, write_tables: bool) -> VmId {
         let base = self.falloc.alloc(config.mem_pages);
-        let shadow = ShadowSet::new(&mut self.machine, &mut self.falloc, config.shadow);
+        let shadow = if write_tables {
+            ShadowSet::new(&mut self.machine, &mut self.falloc, config.shadow)
+        } else {
+            ShadowSet::reserve(&mut self.falloc, config.shadow)
+        };
         let mut vm = Vm {
             name: name.to_string(),
             mem_base_pfn: base,

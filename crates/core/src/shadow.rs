@@ -136,8 +136,6 @@ pub struct ShadowSet {
     real_spt_pa: u32,
     /// Total entries in the real SPT (guest window + VMM region).
     real_spt_entries: u32,
-    /// Next free VMM-region VPN.
-    vmm_next_vpn: u32,
     slots: Vec<ShadowSlot>,
     active: usize,
     clock: u64,
@@ -158,67 +156,84 @@ impl ShadowSet {
         falloc: &mut FrameAllocator,
         config: ShadowConfig,
     ) -> ShadowSet {
+        let set = ShadowSet::reserve(falloc, config);
+        set.write_tables(machine);
+        set
+    }
+
+    /// Replays [`ShadowSet::new`]'s frame allocation — the same frames,
+    /// slots and VMM-region addresses — without writing the tables, for
+    /// a machine whose memory already holds them (snapshot restore,
+    /// copy-on-write fork).
+    pub(crate) fn reserve(falloc: &mut FrameAllocator, config: ShadowConfig) -> ShadowSet {
         assert!(config.cache_slots >= 1);
         assert!(config.prefill_group >= 1);
         let p0_frames = table_frames(config.p0_capacity);
         let p1_frames = table_frames(config.p1_capacity);
         let vmm_region_pages = config.cache_slots as u32 * (p0_frames + p1_frames);
         let spt_entries = config.s_capacity + vmm_region_pages;
-        let spt_frames = table_frames(spt_entries);
-        let spt_pfn = falloc.alloc(spt_frames);
-        let real_spt_pa = spt_pfn << PAGE_SHIFT;
-
-        let mut set = ShadowSet {
-            config,
-            real_spt_pa,
-            real_spt_entries: spt_entries,
-            vmm_next_vpn: config.s_capacity,
-            slots: Vec::with_capacity(config.cache_slots),
-            active: 0,
-            clock: 0,
-            evictions: 0,
-            invalidations: 0,
-        };
-
-        // Guest S window: inaccessible until the guest sets SLR.
-        for vpn in 0..config.s_capacity {
-            set.write_real_spt(machine, vpn, Pte::build(0, Protection::Na, false, false));
-        }
-
+        let spt_pfn = falloc.alloc(table_frames(spt_entries));
+        // The VMM region of the real SPT maps each slot's P0 then P1
+        // table frames, in slot order, from the boundary up.
+        let mut vmm_vpn = config.s_capacity;
+        let mut slots = Vec::with_capacity(config.cache_slots);
         for _ in 0..config.cache_slots {
             let p0_pfn = falloc.alloc(p0_frames);
             let p1_pfn = falloc.alloc(p1_frames);
-            let p0_va = set.map_vmm_frames(machine, p0_pfn, p0_frames);
-            let p1_va = set.map_vmm_frames(machine, p1_pfn, p1_frames);
-            let slot = ShadowSlot {
+            let p0_va = S_BASE + (vmm_vpn << PAGE_SHIFT);
+            let p1_va = p0_va + (p0_frames << PAGE_SHIFT);
+            vmm_vpn += p0_frames + p1_frames;
+            slots.push(ShadowSlot {
                 key: None,
                 p0_pa: p0_pfn << PAGE_SHIFT,
                 p0_va,
                 p1_pa: p1_pfn << PAGE_SHIFT,
                 p1_va,
                 last_used: 0,
-            };
-            null_fill(machine, slot.p0_pa, config.p0_capacity);
-            null_fill(machine, slot.p1_pa, config.p1_capacity);
-            set.slots.push(slot);
+            });
         }
-        set
+        ShadowSet {
+            config,
+            real_spt_pa: spt_pfn << PAGE_SHIFT,
+            real_spt_entries: spt_entries,
+            slots,
+            active: 0,
+            clock: 0,
+            evictions: 0,
+            invalidations: 0,
+        }
+    }
+
+    /// Writes a fresh set's tables: the guest S window of the real SPT
+    /// nulled (inaccessible until the guest sets SLR), and every slot's
+    /// process tables mapped kernel-protected into the VMM region and
+    /// null-filled.
+    fn write_tables(&self, machine: &mut Machine) {
+        for vpn in 0..self.config.s_capacity {
+            self.write_real_spt(machine, vpn, Pte::build(0, Protection::Na, false, false));
+        }
+        let p0_frames = table_frames(self.config.p0_capacity);
+        let p1_frames = table_frames(self.config.p1_capacity);
+        for slot in &self.slots {
+            self.map_vmm_frames(machine, slot.p0_va, slot.p0_pa, p0_frames);
+            self.map_vmm_frames(machine, slot.p1_va, slot.p1_pa, p1_frames);
+            null_fill(machine, slot.p0_pa, self.config.p0_capacity);
+            null_fill(machine, slot.p1_pa, self.config.p1_capacity);
+        }
     }
 
     fn write_real_spt(&self, machine: &mut Machine, vpn: u32, pte: Pte) {
         vmm_write_u32(machine, self.real_spt_pa + 4 * vpn, pte.raw());
     }
 
-    /// Maps `count` frames starting at `pfn` into the VMM region of this
-    /// VM's real SPT, kernel-protected; returns the S VA of the first.
-    fn map_vmm_frames(&mut self, machine: &mut Machine, pfn: u32, count: u32) -> u32 {
-        let first_vpn = self.vmm_next_vpn;
+    /// Maps the `count` frames at physical `pa` kernel-protected at S VA
+    /// `va` in the VMM region of this VM's real SPT.
+    fn map_vmm_frames(&self, machine: &mut Machine, va: u32, pa: u32, count: u32) {
+        let first_vpn = (va - S_BASE) >> PAGE_SHIFT;
         for i in 0..count {
-            let pte = Pte::build(pfn + i, Protection::Kw, true, true);
+            let pte = Pte::build((pa >> PAGE_SHIFT) + i, Protection::Kw, true, true);
             self.write_real_spt(machine, first_vpn + i, pte);
         }
-        self.vmm_next_vpn += count;
-        S_BASE + (first_vpn << PAGE_SHIFT)
     }
 
     /// The configuration in effect.

@@ -256,6 +256,16 @@ impl Machine {
     /// paper's VMM requires; the standard variant sets `PTE<M>` in
     /// hardware.
     pub fn new(variant: MachineVariant, mem_bytes: u32) -> Machine {
+        Machine::with_mem(variant, PhysMemory::new(mem_bytes))
+    }
+
+    /// Creates a machine of the given variant running on `mem` — the
+    /// seam snapshot restore and copy-on-write fork build on: the
+    /// machine adopts the memory it will run on, so no throwaway memory
+    /// is allocated and zeroed first. Decoded-instruction caches start
+    /// cold; pair with [`Machine::import_state`] to reinstate the rest
+    /// of a captured machine.
+    pub fn with_mem(variant: MachineVariant, mem: PhysMemory) -> Machine {
         let mut mmu = Mmu::new();
         mmu.set_modify_fault_enabled(variant.has_vm_extensions());
         Machine {
@@ -276,7 +286,7 @@ impl Machine {
             todr: 0,
             todr_acc: 0,
             mmu,
-            mem: PhysMemory::new(mem_bytes),
+            mem,
             icache: DecodeCache::new(),
             icache_enabled: true,
             trans: TransCache::new(),
@@ -1164,9 +1174,10 @@ impl Machine {
 
     /// Injects a previously exported state, bypassing the architectural
     /// setters (no TLB invalidations, no stack re-banking — the image is
-    /// reinstated verbatim). Physical memory must be restored separately
-    /// by the caller. The decoded-instruction cache starts cold, which is
-    /// cycle- and counter-neutral.
+    /// reinstated verbatim). Physical memory is not part of the state:
+    /// build the machine over it with [`Machine::with_mem`] first. The
+    /// decoded-instruction cache starts cold, which is cycle- and
+    /// counter-neutral.
     pub fn import_state(&mut self, state: MachineState) {
         self.regs = state.regs;
         self.psl = Psl::from_raw(state.psl_raw);
@@ -1204,24 +1215,6 @@ impl Machine {
             }
         } else {
             self.mem.disable_write_tracking();
-        }
-    }
-
-    /// Replaces this machine's physical memory wholesale (snapshot restore
-    /// and copy-on-write forking). The decoded-instruction cache is
-    /// dropped: its entries are keyed by physical address into the old
-    /// contents. Write-tracking enablement carries over: if the outgoing
-    /// memory was tracked and the incoming one is not, a fresh tracker is
-    /// armed, sized to the *new* memory — the old bitmaps never survive a
-    /// swap, so a differently-sized replacement cannot leave a stale,
-    /// mis-sized bitmap behind.
-    pub fn replace_mem(&mut self, mem: PhysMemory) {
-        let was_tracking = self.mem.write_tracking_enabled();
-        self.mem = mem;
-        self.invalidate_code_caches();
-        self.mem.clear_all_code_pages();
-        if was_tracking && !self.mem.write_tracking_enabled() {
-            self.mem.enable_write_tracking();
         }
     }
 
@@ -1347,34 +1340,40 @@ mod tests {
     }
 
     #[test]
-    fn replace_mem_rearms_tracking_sized_to_the_new_memory() {
+    fn imported_tracking_is_sized_to_the_adopted_memory() {
         // Regression: enable_write_tracking sizes its bitmaps from
-        // pages() at enable time. Swapping in a *larger* memory must not
-        // leave the old 8-page bitmap behind — a write past the old size
-        // would index out of bounds (a host panic) or go untracked.
-        let mut m = Machine::new(MachineVariant::Standard, 8 * 512);
-        m.enable_write_tracking();
-        m.mem_mut().write_u8(0, 1).unwrap();
-        assert_eq!(m.mem().dirty_page_count(), 1);
+        // pages() at enable time. A state exported from a small tracked
+        // machine and imported into one built over a *larger* memory
+        // must arm a tracker sized to the new memory — a write past the
+        // old size would otherwise index out of bounds (a host panic)
+        // or go untracked.
+        let mut small = Machine::new(MachineVariant::Standard, 8 * 512);
+        small.enable_write_tracking();
+        small.mem_mut().write_u8(0, 1).unwrap();
+        assert_eq!(small.mem().dirty_page_count(), 1);
+        let state = small.export_state();
 
-        m.replace_mem(PhysMemory::new(64 * 512));
+        let mut m = Machine::with_mem(MachineVariant::Standard, PhysMemory::new(64 * 512));
+        m.import_state(state.clone());
         assert!(
             m.write_tracking_enabled(),
-            "tracking enablement survives a memory swap"
+            "tracking enablement is imported"
         );
         assert_eq!(m.mem().dirty_page_count(), 0, "fresh tracker starts clean");
-        // The write far past the old memory's size is tracked, not a panic.
         m.mem_mut().write_u8(63 * 512, 1).unwrap();
         assert_eq!(m.mem().dirty_pages(), vec![63]);
 
-        // Shrinking works the same way.
-        m.replace_mem(PhysMemory::new(2 * 512));
-        m.mem_mut().write_u8(512, 1).unwrap();
-        assert_eq!(m.mem().dirty_pages(), vec![1]);
+        // A forked memory works the same way, and stays forked.
+        let mut parent = PhysMemory::new(2 * 512);
+        let mut forked = Machine::with_mem(MachineVariant::Standard, parent.fork());
+        forked.import_state(state);
+        forked.mem_mut().write_u8(512, 1).unwrap();
+        assert_eq!(forked.mem().dirty_pages(), vec![1]);
+        assert_eq!(forked.mem().resident_page_numbers(), vec![1]);
 
-        // An untracked machine stays untracked across a swap.
-        let mut plain = Machine::new(MachineVariant::Standard, 4096);
-        plain.replace_mem(PhysMemory::new(4096));
+        // An untracked state imports as untracked.
+        let mut plain = Machine::with_mem(MachineVariant::Standard, PhysMemory::new(4096));
+        plain.import_state(Machine::new(MachineVariant::Standard, 4096).export_state());
         assert!(!plain.write_tracking_enabled());
     }
 

@@ -4,6 +4,17 @@ use crate::fault::MemFault;
 use std::sync::Arc;
 use vax_arch::va::{PAGE_BYTES, PAGE_SHIFT};
 
+/// Bytes per page, as a slice length.
+const PAGE: usize = PAGE_BYTES as usize;
+/// Byte offset within a page.
+const PAGE_MASK: usize = PAGE - 1;
+/// Per-page word: the page backs decoded-instruction-cache entries.
+const CODE_PAGE: u32 = 1 << 31;
+/// Per-page word: 1-based slot of a forked memory's private copy of the
+/// page in its overlay, or 0 while the page is still shared with the
+/// base.
+const SLOT_MASK: u32 = CODE_PAGE - 1;
+
 /// A bank of simulated physical memory.
 ///
 /// Addresses are 32-bit physical byte addresses starting at 0. References
@@ -16,10 +27,13 @@ use vax_arch::va::{PAGE_BYTES, PAGE_SHIFT};
 ///
 /// [`PhysMemory::fork`] freezes the current contents into an [`Arc`]'d
 /// *base* shared between the parent and every child, and turns each of
-/// them into an overlay: reads of an untouched page come straight from the
-/// shared base, and the first write to a page copies that one page into
-/// the overlay (`O(dirty pages)`, not `O(size)`). An unforked memory pays
-/// no overlay cost beyond one well-predicted branch per access.
+/// them into a sparse overlay: reads of an untouched page come straight
+/// from the shared base, and the first write to a page copies that one
+/// page into the overlay. A fork writes one word per page — `O(pages)`
+/// with a small constant, no copy and no zero-fill of the contents —
+/// and a child then costs 512 bytes per page it writes. An unforked
+/// memory pays no overlay cost beyond one well-predicted branch per
+/// access.
 ///
 /// # Example
 ///
@@ -34,23 +48,22 @@ use vax_arch::va::{PAGE_BYTES, PAGE_SHIFT};
 /// ```
 #[derive(Debug, Clone)]
 pub struct PhysMemory {
-    /// The private overlay. Holds every byte when unforked; holds only
-    /// materialized (resident) pages after a fork.
+    /// Unforked: every byte, flat. Forked: only the private pages, one
+    /// 512-byte slot per page in first-write order.
     bytes: Vec<u8>,
+    /// Total size in bytes, a whole number of pages.
+    size: u32,
     /// The frozen copy-on-write base shared with fork relatives, if any.
-    /// Always the same length as `bytes`.
+    /// Always `size` bytes long.
     base: Option<Arc<Vec<u8>>>,
-    /// Per-page: true if the page lives in `bytes` rather than `base`.
-    /// Empty (and unused) when `base` is `None`.
-    resident: Vec<bool>,
-    /// Number of `true` entries in `resident`.
-    resident_count: u32,
-    /// Pages whose contents back decoded-instruction-cache entries. A
-    /// write to a marked page is recorded in `dirty_code` so the CPU can
-    /// invalidate the stale cache entries before its next decode
-    /// (self-modifying code, DMA, VMM pokes — anything that mutates
-    /// physical memory funnels through the write methods below).
-    code_pages: Vec<bool>,
+    /// One word per page: [`CODE_PAGE`] when the page backs
+    /// decoded-instruction-cache entries — a write to it is recorded in
+    /// `dirty_code` so the CPU can invalidate the stale entries before
+    /// its next decode (self-modifying code, DMA, VMM pokes: anything
+    /// that mutates physical memory funnels through the write methods
+    /// below) — and, when forked, the page's overlay slot
+    /// ([`SLOT_MASK`]).
+    page_words: Vec<u32>,
     /// Marked pages written since the last [`PhysMemory::take_dirty_code_pages`].
     dirty_code: Vec<u32>,
     /// Optional working-set write tracker (profiling / incremental
@@ -100,13 +113,13 @@ impl WriteTracker {
 /// freshly forked child equals its parent).
 impl PartialEq for PhysMemory {
     fn eq(&self, other: &PhysMemory) -> bool {
-        if self.size() != other.size() {
+        if self.size != other.size {
             return false;
         }
         if self.base.is_none() && other.base.is_none() {
             return self.bytes == other.bytes;
         }
-        (0..self.pages()).all(|p| self.page(p) == other.page(p))
+        (0..self.page_words.len()).all(|p| self.page_slice(p) == other.page_slice(p))
     }
 }
 
@@ -116,12 +129,27 @@ impl PhysMemory {
     /// Allocates `size` bytes of zeroed memory, rounded up to a whole page.
     pub fn new(size: u32) -> PhysMemory {
         let rounded = size.div_ceil(PAGE_BYTES) * PAGE_BYTES;
+        PhysMemory::flat(vec![0; rounded as usize])
+    }
+
+    /// Adopts `bytes` as the contents of an unforked memory without
+    /// copying them (snapshot restore hands over its decoded image this
+    /// way). `None` unless `bytes` is a whole number of pages and at
+    /// most 4 GiB.
+    pub fn from_vec(bytes: Vec<u8>) -> Option<PhysMemory> {
+        if !bytes.len().is_multiple_of(PAGE) || u32::try_from(bytes.len()).is_err() {
+            return None;
+        }
+        Some(PhysMemory::flat(bytes))
+    }
+
+    /// An unforked memory over `bytes` (a whole number of pages).
+    fn flat(bytes: Vec<u8>) -> PhysMemory {
         PhysMemory {
-            bytes: vec![0; rounded as usize],
+            size: bytes.len() as u32,
+            page_words: vec![0; bytes.len() / PAGE],
+            bytes,
             base: None,
-            resident: Vec::new(),
-            resident_count: 0,
-            code_pages: vec![false; (rounded >> PAGE_SHIFT) as usize],
             dirty_code: Vec::new(),
             tracker: None,
         }
@@ -129,17 +157,17 @@ impl PhysMemory {
 
     /// Total size in bytes.
     pub fn size(&self) -> u32 {
-        self.bytes.len() as u32
+        self.size
     }
 
     /// Total size in pages.
     pub fn pages(&self) -> u32 {
-        self.size() / PAGE_BYTES
+        self.size / PAGE_BYTES
     }
 
     /// True if the `len`-byte range starting at `pa` is backed by memory.
     pub fn contains(&self, pa: u32, len: u32) -> bool {
-        (pa as u64) + (len as u64) <= self.bytes.len() as u64
+        (pa as u64) + (len as u64) <= self.size as u64
     }
 
     fn check(&self, pa: u32, len: u32) -> Result<usize, MemFault> {
@@ -157,7 +185,7 @@ impl PhysMemory {
         let first = pa >> PAGE_SHIFT;
         let last = (pa + len - 1) >> PAGE_SHIFT;
         for pfn in first..=last {
-            if self.code_pages[pfn as usize] {
+            if self.page_words[pfn as usize] & CODE_PAGE != 0 {
                 self.dirty_code.push(pfn);
             }
         }
@@ -176,76 +204,119 @@ impl PhysMemory {
 
     // ---- copy-on-write fork ----
 
-    /// One byte of effective contents (overlay if resident, base
-    /// otherwise).
+    /// The effective contents of page `p` (overlay slot if the page is
+    /// private, base otherwise).
+    #[inline]
+    fn page_slice(&self, p: usize) -> &[u8] {
+        let start = p << PAGE_SHIFT;
+        match &self.base {
+            None => &self.bytes[start..start + PAGE],
+            Some(base) => match self.page_words[p] & SLOT_MASK {
+                0 => &base[start..start + PAGE],
+                slot => {
+                    let at = ((slot - 1) as usize) << PAGE_SHIFT;
+                    &self.bytes[at..at + PAGE]
+                }
+            },
+        }
+    }
+
+    /// One byte of effective contents.
     #[inline]
     fn byte_at(&self, i: usize) -> u8 {
         match &self.base {
             None => self.bytes[i],
-            Some(base) => {
-                if self.resident[i >> PAGE_SHIFT] {
-                    self.bytes[i]
-                } else {
-                    base[i]
-                }
+            Some(_) => self.page_slice(i >> PAGE_SHIFT)[i & PAGE_MASK],
+        }
+    }
+
+    /// `N` bytes of a forked memory's effective contents from `i`.
+    #[inline]
+    fn read_forked<const N: usize>(&self, i: usize) -> [u8; N] {
+        let mut out = [0; N];
+        let off = i & PAGE_MASK;
+        if off + N <= PAGE {
+            out.copy_from_slice(&self.page_slice(i >> PAGE_SHIFT)[off..off + N]);
+        } else {
+            for (k, b) in out.iter_mut().enumerate() {
+                *b = self.byte_at(i + k);
             }
         }
+        out
     }
 
-    /// Copies page `pfn` from the shared base into the private overlay so
-    /// it can be written. No-op when unforked or already resident.
+    /// Byte offset in the overlay of page `p`'s private copy, copying
+    /// the page up from the base on its first write.
     #[inline]
-    fn materialize(&mut self, pfn: u32) {
-        let Some(base) = &self.base else { return };
-        let p = pfn as usize;
-        if self.resident[p] {
-            return;
+    fn private_page(&mut self, p: usize) -> usize {
+        match self.page_words[p] & SLOT_MASK {
+            0 => self.copy_up(p),
+            slot => ((slot - 1) as usize) << PAGE_SHIFT,
         }
-        let start = p << PAGE_SHIFT;
-        let end = start + PAGE_BYTES as usize;
-        self.bytes[start..end].copy_from_slice(&base[start..end]);
-        self.resident[p] = true;
-        self.resident_count += 1;
     }
 
-    /// Materializes every page overlapping `[pa, pa+len)`.
-    #[inline]
-    fn ensure_resident(&mut self, pa: u32, len: u32) {
-        if self.base.is_none() || len == 0 {
-            return;
+    /// A page's first write since the fork: append a copy of its base
+    /// contents to the overlay and record the slot.
+    #[cold]
+    #[inline(never)]
+    fn copy_up(&mut self, p: usize) -> usize {
+        let at = self.bytes.len();
+        if let Some(base) = &self.base {
+            let start = p << PAGE_SHIFT;
+            self.bytes.extend_from_slice(&base[start..start + PAGE]);
         }
-        let first = pa >> PAGE_SHIFT;
-        let last = (pa + len - 1) >> PAGE_SHIFT;
-        for pfn in first..=last {
-            self.materialize(pfn);
+        self.page_words[p] |= (at >> PAGE_SHIFT) as u32 + 1;
+        at
+    }
+
+    /// Stores into a forked memory over `[i, i+len)`, page by page: `put`
+    /// fills each private-page chunk, given the chunk's offset into the
+    /// range.
+    fn store_forked(&mut self, i: usize, len: usize, mut put: impl FnMut(&mut [u8], usize)) {
+        let mut done = 0;
+        while done < len {
+            let at = i + done;
+            let off = at & PAGE_MASK;
+            let n = (len - done).min(PAGE - off);
+            let slot = self.private_page(at >> PAGE_SHIFT) + off;
+            put(&mut self.bytes[slot..slot + n], done);
+            done += n;
         }
     }
 
     /// Freezes the current effective contents into a shareable base and
-    /// turns `self` into an overlay over it with no resident pages.
+    /// turns `self` into an overlay over it with no private pages. Code
+    /// marks survive: the contents are unchanged.
     ///
-    /// Cheap (`Arc` clone) when already frozen with nothing written since;
+    /// Cheap when unforked (the flat store becomes the base, no copy) or
+    /// already frozen with nothing written since (an `Arc` clone);
     /// otherwise merges the overlay into a fresh base, `O(size)`.
     fn freeze(&mut self) -> Arc<Vec<u8>> {
         if let Some(base) = &self.base {
-            if self.resident_count == 0 {
+            if self.bytes.is_empty() {
                 return Arc::clone(base);
             }
         }
-        let mut merged = std::mem::take(&mut self.bytes);
-        if let Some(base) = &self.base {
-            for (p, resident) in self.resident.iter().enumerate() {
-                if !resident {
-                    let start = p << PAGE_SHIFT;
-                    let end = start + PAGE_BYTES as usize;
-                    merged[start..end].copy_from_slice(&base[start..end]);
+        let merged = match self.base.take() {
+            None => std::mem::take(&mut self.bytes),
+            Some(base) => {
+                let mut merged = Arc::unwrap_or_clone(base);
+                for (p, w) in self.page_words.iter().enumerate() {
+                    let slot = w & SLOT_MASK;
+                    if slot != 0 {
+                        let at = ((slot - 1) as usize) << PAGE_SHIFT;
+                        merged[p << PAGE_SHIFT..(p + 1) << PAGE_SHIFT]
+                            .copy_from_slice(&self.bytes[at..at + PAGE]);
+                    }
                 }
+                self.bytes = Vec::new();
+                merged
             }
+        };
+        for w in &mut self.page_words {
+            *w &= CODE_PAGE;
         }
         let frozen = Arc::new(merged);
-        self.bytes = vec![0; frozen.len()];
-        self.resident = vec![false; (frozen.len() as u32 >> PAGE_SHIFT) as usize];
-        self.resident_count = 0;
         self.base = Some(Arc::clone(&frozen));
         frozen
     }
@@ -259,13 +330,11 @@ impl PhysMemory {
     /// cache).
     pub fn fork(&mut self) -> PhysMemory {
         let base = self.freeze();
-        let pages = (base.len() as u32 >> PAGE_SHIFT) as usize;
         PhysMemory {
-            bytes: vec![0; base.len()],
-            resident: vec![false; pages],
-            resident_count: 0,
+            bytes: Vec::new(),
+            size: self.size,
             base: Some(base),
-            code_pages: vec![false; pages],
+            page_words: vec![0; self.page_words.len()],
             dirty_code: Vec::new(),
             tracker: None,
         }
@@ -289,7 +358,11 @@ impl PhysMemory {
     /// Number of pages privately materialized since the last fork
     /// (0 when unforked).
     pub fn resident_pages(&self) -> u32 {
-        self.resident_count
+        if self.base.is_some() {
+            (self.bytes.len() / PAGE) as u32
+        } else {
+            0
+        }
     }
 
     /// The page numbers privately materialized since the last fork, in
@@ -299,10 +372,10 @@ impl PhysMemory {
     /// the working-set oracle tests compare it against
     /// [`PhysMemory::dirty_pages`].
     pub fn resident_page_numbers(&self) -> Vec<u32> {
-        self.resident
+        self.page_words
             .iter()
             .enumerate()
-            .filter(|(_, r)| **r)
+            .filter(|(_, w)| **w & SLOT_MASK != 0)
             .map(|(p, _)| p as u32)
             .collect()
     }
@@ -314,7 +387,7 @@ impl PhysMemory {
         if self.base.is_none() || self.pages() == 0 {
             return 0.0;
         }
-        1.0 - self.resident_count as f64 / self.pages() as f64
+        1.0 - self.resident_pages() as f64 / self.pages() as f64
     }
 
     /// The effective contents of page `pfn`, or `None` past the end.
@@ -322,7 +395,7 @@ impl PhysMemory {
         if pfn >= self.pages() {
             return None;
         }
-        self.page_tail(pfn << PAGE_SHIFT)
+        Some(self.page_slice(pfn as usize))
     }
 
     // ---- decode-cache write tracking ----
@@ -330,17 +403,19 @@ impl PhysMemory {
     /// Marks a page as backing decoded-instruction-cache entries; later
     /// writes to it are reported by [`PhysMemory::take_dirty_code_pages`].
     pub fn note_code_page(&mut self, pfn: u32) {
-        self.code_pages[pfn as usize] = true;
+        self.page_words[pfn as usize] |= CODE_PAGE;
     }
 
     /// Clears a page's code mark (after its cache entries are dropped).
     pub fn clear_code_page(&mut self, pfn: u32) {
-        self.code_pages[pfn as usize] = false;
+        self.page_words[pfn as usize] &= !CODE_PAGE;
     }
 
     /// Clears every code mark and pending dirty notice.
     pub fn clear_all_code_pages(&mut self) {
-        self.code_pages.fill(false);
+        for w in &mut self.page_words {
+            *w &= !CODE_PAGE;
+        }
         self.dirty_code.clear();
     }
 
@@ -455,12 +530,12 @@ impl PhysMemory {
         if !self.contains(pa, 1) {
             return None;
         }
+        if self.base.is_some() {
+            let page = self.page_slice((pa >> PAGE_SHIFT) as usize);
+            return Some(&page[pa as usize & PAGE_MASK..]);
+        }
         let end = (((pa >> PAGE_SHIFT) + 1) << PAGE_SHIFT).min(self.size());
-        let src: &[u8] = match &self.base {
-            Some(base) if !self.resident[(pa >> PAGE_SHIFT) as usize] => base,
-            _ => &self.bytes,
-        };
-        Some(&src[pa as usize..end as usize])
+        Some(&self.bytes[pa as usize..end as usize])
     }
 
     /// Reads one byte.
@@ -483,7 +558,7 @@ impl PhysMemory {
         if self.base.is_none() {
             return Ok(u16::from_le_bytes([self.bytes[i], self.bytes[i + 1]]));
         }
-        Ok(u16::from_le_bytes([self.byte_at(i), self.byte_at(i + 1)]))
+        Ok(u16::from_le_bytes(self.read_forked(i)))
     }
 
     /// Reads a little-endian 32-bit longword.
@@ -501,12 +576,7 @@ impl PhysMemory {
                 self.bytes[i + 3],
             ]));
         }
-        Ok(u32::from_le_bytes([
-            self.byte_at(i),
-            self.byte_at(i + 1),
-            self.byte_at(i + 2),
-            self.byte_at(i + 3),
-        ]))
+        Ok(u32::from_le_bytes(self.read_forked(i)))
     }
 
     /// Writes one byte.
@@ -516,9 +586,12 @@ impl PhysMemory {
     /// [`MemFault::NonExistent`] if `pa` is beyond physical memory.
     pub fn write_u8(&mut self, pa: u32, v: u8) -> Result<(), MemFault> {
         let i = self.check(pa, 1)?;
-        self.ensure_resident(pa, 1);
         self.note_write(pa, 1);
-        self.bytes[i] = v;
+        if self.base.is_some() {
+            self.store_forked(i, 1, |dst, _| dst[0] = v);
+        } else {
+            self.bytes[i] = v;
+        }
         Ok(())
     }
 
@@ -529,9 +602,13 @@ impl PhysMemory {
     /// [`MemFault::NonExistent`] if the range extends beyond memory.
     pub fn write_u16(&mut self, pa: u32, v: u16) -> Result<(), MemFault> {
         let i = self.check(pa, 2)?;
-        self.ensure_resident(pa, 2);
         self.note_write(pa, 2);
-        self.bytes[i..i + 2].copy_from_slice(&v.to_le_bytes());
+        let v = v.to_le_bytes();
+        if self.base.is_some() {
+            self.store_forked(i, 2, |dst, at| dst.copy_from_slice(&v[at..at + dst.len()]));
+        } else {
+            self.bytes[i..i + 2].copy_from_slice(&v);
+        }
         Ok(())
     }
 
@@ -542,9 +619,13 @@ impl PhysMemory {
     /// [`MemFault::NonExistent`] if the range extends beyond memory.
     pub fn write_u32(&mut self, pa: u32, v: u32) -> Result<(), MemFault> {
         let i = self.check(pa, 4)?;
-        self.ensure_resident(pa, 4);
         self.note_write(pa, 4);
-        self.bytes[i..i + 4].copy_from_slice(&v.to_le_bytes());
+        let v = v.to_le_bytes();
+        if self.base.is_some() {
+            self.store_forked(i, 4, |dst, at| dst.copy_from_slice(&v[at..at + dst.len()]));
+        } else {
+            self.bytes[i..i + 4].copy_from_slice(&v);
+        }
         Ok(())
     }
 
@@ -555,17 +636,23 @@ impl PhysMemory {
     /// [`MemFault::NonExistent`] if the range extends beyond memory.
     pub fn write_slice(&mut self, pa: u32, data: &[u8]) -> Result<(), MemFault> {
         let i = self.check(pa, data.len() as u32)?;
-        if !data.is_empty() {
-            self.ensure_resident(pa, data.len() as u32);
-            self.note_write(pa, data.len() as u32);
+        if data.is_empty() {
+            return Ok(());
         }
-        self.bytes[i..i + data.len()].copy_from_slice(data);
+        self.note_write(pa, data.len() as u32);
+        if self.base.is_some() {
+            self.store_forked(i, data.len(), |dst, at| {
+                dst.copy_from_slice(&data[at..at + dst.len()]);
+            });
+        } else {
+            self.bytes[i..i + data.len()].copy_from_slice(data);
+        }
         Ok(())
     }
 
     /// Reads `len` bytes starting at `pa`, borrowing when the range lies
-    /// in one backing store and copying only when a forked range mixes
-    /// overlay and base pages.
+    /// in one backing store — all of it unforked, all of it still shared
+    /// with the base, or within one private page — and copying otherwise.
     ///
     /// # Errors
     ///
@@ -580,14 +667,28 @@ impl PhysMemory {
         if len == 0 {
             return Ok(Cow::Borrowed(&[]));
         }
-        let first = pa >> PAGE_SHIFT;
-        let last = (pa + len - 1) >> PAGE_SHIFT;
-        let lead = self.resident[first as usize];
-        if (first..=last).all(|p| self.resident[p as usize] == lead) {
-            let src: &[u8] = if lead { &self.bytes } else { base };
-            return Ok(Cow::Borrowed(&src[i..end]));
+        let first = i >> PAGE_SHIFT;
+        let last = (end - 1) >> PAGE_SHIFT;
+        if self.page_words[first..=last]
+            .iter()
+            .all(|w| w & SLOT_MASK == 0)
+        {
+            return Ok(Cow::Borrowed(&base[i..end]));
         }
-        Ok(Cow::Owned((i..end).map(|j| self.byte_at(j)).collect()))
+        if first == last {
+            let off = i & PAGE_MASK;
+            return Ok(Cow::Borrowed(
+                &self.page_slice(first)[off..off + len as usize],
+            ));
+        }
+        let mut out = Vec::with_capacity(len as usize);
+        for p in first..=last {
+            let page = self.page_slice(p);
+            let lo = i.max(p << PAGE_SHIFT) - (p << PAGE_SHIFT);
+            let hi = end.min((p + 1) << PAGE_SHIFT) - (p << PAGE_SHIFT);
+            out.extend_from_slice(&page[lo..hi]);
+        }
+        Ok(Cow::Owned(out))
     }
 
     /// Zero-fills the `len`-byte range at `pa`.
@@ -597,11 +698,15 @@ impl PhysMemory {
     /// [`MemFault::NonExistent`] if the range extends beyond memory.
     pub fn zero_range(&mut self, pa: u32, len: u32) -> Result<(), MemFault> {
         let i = self.check(pa, len)?;
-        if len > 0 {
-            self.ensure_resident(pa, len);
-            self.note_write(pa, len);
+        if len == 0 {
+            return Ok(());
         }
-        self.bytes[i..i + len as usize].fill(0);
+        self.note_write(pa, len);
+        if self.base.is_some() {
+            self.store_forked(i, len as usize, |dst, _| dst.fill(0));
+        } else {
+            self.bytes[i..i + len as usize].fill(0);
+        }
         Ok(())
     }
 }

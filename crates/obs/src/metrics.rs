@@ -20,6 +20,8 @@ pub struct Metrics {
     /// One family may carry many samples, one per label value — the
     /// per-tenant serving counters (`vaxd`) are the first user.
     labeled: Vec<(String, String, String, u64)>,
+    /// Labeled gauge samples: (family, label key, label value, level).
+    labeled_gauges: Vec<(String, String, String, f64)>,
 }
 
 impl Metrics {
@@ -90,6 +92,42 @@ impl Metrics {
         self
     }
 
+    /// Sets one sample of a labeled gauge family: a per-label *level*
+    /// (frames in use, children live), rendered like
+    /// [`Metrics::labeled_counter`] but typed `gauge`. Re-setting the
+    /// same (family, key, value) triple replaces the sample; like plain
+    /// gauges, labeled gauges are not summed by [`Metrics::merge`].
+    pub fn labeled_gauge(
+        &mut self,
+        family: &str,
+        key: &str,
+        value: &str,
+        level: f64,
+    ) -> &mut Metrics {
+        match self
+            .labeled_gauges
+            .iter_mut()
+            .find(|(f, k, v, _)| f == family && k == key && v == value)
+        {
+            Some(slot) => slot.3 = level,
+            None => self.labeled_gauges.push((
+                family.to_string(),
+                key.to_string(),
+                value.to_string(),
+                level,
+            )),
+        }
+        self
+    }
+
+    /// One labeled gauge sample by family and label, if present.
+    pub fn get_labeled_gauge(&self, family: &str, key: &str, value: &str) -> Option<f64> {
+        self.labeled_gauges
+            .iter()
+            .find(|(f, k, v, _)| f == family && k == key && v == value)
+            .map(|(_, _, _, x)| *x)
+    }
+
     /// One labeled counter sample by family and label, if present.
     pub fn get_labeled_counter(&self, family: &str, key: &str, value: &str) -> Option<u64> {
         self.labeled
@@ -108,9 +146,9 @@ impl Metrics {
 
     /// Folds another snapshot into this one: counters are summed by name
     /// (unknown names are appended in `other`'s order), histograms are
-    /// merged by name. Gauges are **not** merged — a gauge is a
-    /// point-in-time reading (a rate, a fraction) whose sum across
-    /// registries means nothing; callers aggregating registries must
+    /// merged by name. Gauges, labeled or not, are **not** merged — a
+    /// gauge is a point-in-time reading (a rate, a fraction) whose sum
+    /// across registries means nothing; callers aggregating registries must
     /// recompute their gauges from the merged counters (as
     /// `Fleet::fleet_metrics` does for the TLB hit rate).
     pub fn merge(&mut self, other: &Metrics) -> &mut Metrics {
@@ -177,6 +215,12 @@ impl Metrics {
                 None => out.push_str(&format!("\n    \"{name}\": null")),
             }
         }
+        for (i, (family, key, value, x)) in self.labeled_gauges.iter().enumerate() {
+            if i > 0 || !self.gauges.is_empty() {
+                out.push(',');
+            }
+            out.push_str(&format!("\n    \"{family}{{{key}={value}}}\": {x:.6}"));
+        }
         out.push_str("\n  },\n  \"histograms\": {");
         for (i, (name, h)) in self.histograms.iter().enumerate() {
             if i > 0 {
@@ -215,17 +259,8 @@ impl Metrics {
             let help = prom_help(name);
             out.push_str(&format!("# HELP {m} {help}\n# TYPE {m} counter\n{m} {v}\n"));
         }
-        let mut annotated: Vec<&str> = Vec::new();
-        for (family, key, value, count) in &self.labeled {
-            let m = prom_name(family);
-            if !annotated.contains(&family.as_str()) {
-                annotated.push(family);
-                let help = prom_help(family);
-                out.push_str(&format!("# HELP {m} {help}\n# TYPE {m} counter\n"));
-            }
-            let v = prom_label_value(value);
-            out.push_str(&format!("{m}{{{key}=\"{v}\"}} {count}\n"));
-        }
+        prom_labeled(&mut out, "counter", &self.labeled);
+        prom_labeled(&mut out, "gauge", &self.labeled_gauges);
         for (name, v) in &self.gauges {
             if let Some(x) = v {
                 let m = prom_name(name);
@@ -264,6 +299,26 @@ fn prom_name(name: &str) -> String {
         }
     }
     m
+}
+
+/// Renders labeled samples of one metric type: one `# HELP`/`# TYPE`
+/// pair per family, then `family{key="value"} sample` per label value.
+fn prom_labeled<V: std::fmt::Display>(
+    out: &mut String,
+    kind: &str,
+    samples: &[(String, String, String, V)],
+) {
+    let mut annotated: Vec<&str> = Vec::new();
+    for (family, key, value, sample) in samples {
+        let m = prom_name(family);
+        if !annotated.contains(&family.as_str()) {
+            annotated.push(family);
+            let help = prom_help(family);
+            out.push_str(&format!("# HELP {m} {help}\n# TYPE {m} {kind}\n"));
+        }
+        let v = prom_label_value(value);
+        out.push_str(&format!("{m}{{{key}=\"{v}\"}} {sample}\n"));
+    }
 }
 
 /// Escapes a label value per the Prometheus text format: backslash,
@@ -635,6 +690,46 @@ mod tests {
                 "tenant_frames"
             ),
             Some(4)
+        );
+    }
+
+    #[test]
+    fn labeled_gauges_expose_as_gauges_replace_and_do_not_merge() {
+        let mut m = Metrics::new();
+        m.gauge("tlb_hit_rate", Some(0.5))
+            .labeled_gauge("vaxd_tenant_frames_in_use", "tenant", "alice", 700.0)
+            .labeled_gauge("vaxd_tenant_frames_in_use", "tenant", "bob", 3.0)
+            .labeled_gauge("vaxd_tenant_frames_in_use", "tenant", "alice", 350.0);
+        assert_eq!(
+            m.get_labeled_gauge("vaxd_tenant_frames_in_use", "tenant", "alice"),
+            Some(350.0),
+            "a level is re-set, not accumulated"
+        );
+        assert_eq!(
+            m.get_labeled_counter("vaxd_tenant_frames_in_use", "tenant", "alice"),
+            None
+        );
+        let p = m.to_prometheus();
+        assert_eq!(
+            p.matches("# TYPE vax_vaxd_tenant_frames_in_use gauge")
+                .count(),
+            1
+        );
+        assert!(!p.contains("vax_vaxd_tenant_frames_in_use counter"));
+        assert!(p.contains("vax_vaxd_tenant_frames_in_use{tenant=\"alice\"} 350"));
+        assert!(p.contains("vax_vaxd_tenant_frames_in_use{tenant=\"bob\"} 3"));
+        let j = m.to_json();
+        assert!(j.contains("\"tlb_hit_rate\": 0.500000,"));
+        assert!(j.contains("\"vaxd_tenant_frames_in_use{tenant=alice}\": 350.000000"));
+        assert_eq!(j.matches('{').count(), j.matches('}').count());
+
+        let mut other = Metrics::new();
+        other.labeled_gauge("vaxd_tenant_frames_in_use", "tenant", "alice", 1.0);
+        m.merge(&other);
+        assert_eq!(
+            m.get_labeled_gauge("vaxd_tenant_frames_in_use", "tenant", "alice"),
+            Some(350.0),
+            "merge leaves gauges to the caller"
         );
     }
 

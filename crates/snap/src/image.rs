@@ -2,21 +2,24 @@
 //!
 //! A snapshot does not serialize the monitor's internal structure — it
 //! serializes the *inputs* that reproduce it. Restore is
-//! reconstruction: [`Monitor::new`] with the captured config, then
-//! [`Monitor::create_vm`] per VM in creation order. Because the frame
-//! allocator is a deterministic bump allocator, this re-derives the
-//! exact physical frame layout (VM memory blocks, shadow page tables)
-//! of the snapshotted monitor; the serialized `mem_base_pfn` is checked
-//! against the re-derived one so a layout mismatch is an error, not a
-//! corrupted guest. With the skeleton in place, the captured physical
-//! memory image is written over the machine's (carrying the shadow
-//! table *contents* with it), the machine state — including the TLB,
-//! exactly — is injected, and the per-VM state and shadow bookkeeping
-//! are overwritten in place.
+//! reconstruction: [`Monitor::with_mem`] builds the monitor directly
+//! over the memory it will run on, then [`Monitor::recreate_vm`] replays
+//! each VM's creation in order. Because the frame allocator is a
+//! deterministic bump allocator, this re-derives the exact physical
+//! frame layout (VM memory blocks, shadow page tables) of the
+//! snapshotted monitor; the serialized `mem_base_pfn` is checked against
+//! the re-derived one so a layout mismatch is an error, not a corrupted
+//! guest. The memory already holds the real SPT and shadow table
+//! *contents*, so re-creation writes none of them. The machine state —
+//! including the TLB, exactly — is then injected, and the per-VM state
+//! and shadow bookkeeping are overwritten in place.
 //!
-//! The same skeleton-then-inject path serves copy-on-write forking:
-//! instead of a serialized memory image, the child machine adopts a
-//! [`PhysMemory`] forked from the parent, sharing every unmodified page.
+//! Restore and copy-on-write fork share this one path and differ only in
+//! where the memory comes from ([`MemSource`]): a restore adopts the
+//! decoded memory image without copying it, and a fork hands over a
+//! [`PhysMemory`] forked from the parent, sharing every page. Neither
+//! allocates a memory only to throw it away, and a forked child's
+//! rebuild writes none of its shared pages.
 
 use crate::error::SnapshotError;
 use vax_cpu::MachineState;
@@ -123,71 +126,51 @@ pub fn capture(monitor: &Monitor, with_memory: bool) -> Result<MonitorImage, Sna
 ///
 /// For images that came through [`crate::format::decode`], validation
 /// has already run and this cannot panic; the residual checks here
-/// (admission, frame-layout reproduction) guard images built in process
-/// against monitors whose configuration cannot host them.
+/// (memory size, admission, frame-layout reproduction) guard images
+/// built in process against monitors whose configuration cannot host
+/// them.
 ///
 /// # Errors
 ///
-/// [`SnapshotError::Invalid`] when the VMs do not fit in the configured
-/// machine memory, when reconstruction derives a different frame layout
-/// than the image records, or when the memory image does not match the
-/// configured size.
-pub fn rebuild(image: MonitorImage, mem: MemSource) -> Result<Monitor, SnapshotError> {
-    let mut monitor = Monitor::new(image.config.clone());
-    if let MemSource::Image = mem {
-        if image.memory.len() != monitor.machine().mem().size() as usize {
-            return Err(SnapshotError::Invalid {
-                what: "memory image size disagrees with configuration",
-            });
-        }
-    }
-    // Recreate every VM through the normal creation path. This re-runs
-    // the deterministic frame allocation sequence, so the skeleton's
-    // layout matches the snapshotted monitor frame for frame — checked
-    // below, because everything downstream (guest PTEs, shadow tables,
-    // the TLB image) encodes physical addresses from that layout.
-    let mut ids = Vec::new();
-    for vm_image in &image.vms {
+/// [`SnapshotError::Invalid`] when the memory does not match the
+/// configured size, when the VMs do not fit in the configured machine
+/// memory, or when reconstruction derives a different frame layout than
+/// the image records.
+pub fn rebuild(mut image: MonitorImage, mem: MemSource) -> Result<Monitor, SnapshotError> {
+    let mem = match mem {
+        MemSource::Image => PhysMemory::from_vec(std::mem::take(&mut image.memory)),
+        MemSource::Forked(forked) => Some(forked),
+    };
+    let configured = u64::from(image.config.mem_bytes).div_ceil(512) * 512;
+    let Some(mem) = mem.filter(|m| u64::from(m.size()) == configured) else {
+        return Err(SnapshotError::Invalid {
+            what: "memory size disagrees with configuration",
+        });
+    };
+    let mut monitor = Monitor::with_mem(image.config, mem);
+    // Replay every VM's creation. This re-runs the deterministic frame
+    // allocation sequence, so the layout matches the snapshotted monitor
+    // frame for frame — checked below, because everything downstream
+    // (guest PTEs, shadow tables, the TLB image) encodes physical
+    // addresses from that layout.
+    for vm_image in image.vms {
         if Monitor::admission_frames(&vm_image.config) > u64::from(monitor.frames_remaining()) {
             return Err(SnapshotError::Invalid {
                 what: "VMs do not fit in machine memory",
             });
         }
-        let id = monitor.create_vm(&vm_image.vm.name, vm_image.config.clone());
+        let id = monitor.recreate_vm(&vm_image.vm.name, vm_image.config);
         if monitor.vm(id).mem_base_pfn != vm_image.vm.mem_base_pfn {
             return Err(SnapshotError::Invalid {
                 what: "memory layout does not reproduce",
             });
         }
-        ids.push(id);
-    }
-    // Memory before machine state: importing the state resets the
-    // decode cache and re-arms code-page tracking against whatever
-    // memory is in place at that point.
-    match mem {
-        MemSource::Image => {
-            monitor
-                .machine_mut()
-                .mem_mut()
-                .write_slice(0, &image.memory)
-                .map_err(|_| SnapshotError::Invalid {
-                    what: "memory image does not fit the machine",
-                })?;
-        }
-        MemSource::Forked(forked) => {
-            if forked.size() != monitor.machine().mem().size() {
-                return Err(SnapshotError::Invalid {
-                    what: "forked memory size disagrees with configuration",
-                });
-            }
-            monitor.machine_mut().replace_mem(forked);
-        }
-    }
-    monitor.machine_mut().import_state(image.machine.clone());
-    for (id, vm_image) in ids.into_iter().zip(image.vms) {
         *monitor.vm_mut(id) = vm_image.vm;
         monitor.shadow_mut(id).import_cache_state(vm_image.shadow);
     }
+    // Importing the state resets the decode cache and re-arms
+    // write tracking against the memory in place.
+    monitor.machine_mut().import_state(image.machine);
     monitor.set_scheduler_state(image.sched);
     Ok(monitor)
 }

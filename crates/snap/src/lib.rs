@@ -87,13 +87,35 @@ pub fn restore_monitor(bytes: &[u8]) -> Result<Monitor, SnapshotError> {
     rebuild(decode(bytes)?, MemSource::Image)
 }
 
-/// Forks a quiescent monitor into `n` copy-on-write children.
+/// Forks one copy-on-write child of `parent` from `image`, a
+/// memory-less image captured from `parent` at its current quiescent
+/// point ([`capture`] with `with_memory = false`; the parent must not
+/// have run since).
 ///
-/// Each child is a complete, independent monitor whose physical memory
-/// shares every page with the parent until one side writes it — cost is
-/// O(dirty pages), not O(memory). Parent and children all resume
-/// bit-identically to an unforked run. `PhysMemory::shared_fraction`
-/// on a child reports how much is still shared.
+/// The child is a complete, independent monitor built directly over a
+/// [`vax_mem::PhysMemory::fork`] of the parent's memory, sharing every
+/// page until one side writes it. Cost: one word per page of machine
+/// memory for the child's page table, a fresh CPU (its decoded-
+/// instruction cache starts cold), and a clone of the image's non-memory
+/// state — no memory contents are copied or zeroed; a page is copied
+/// when either side first writes it. A never-forked parent's memory
+/// becomes the shared base without a copy; a parent that wrote pages
+/// since its previous fork pays one `O(memory)` merge on its next.
+/// Parent and child both resume bit-identically to an unforked run.
+///
+/// # Errors
+///
+/// [`SnapshotError::Invalid`] if the image does not describe the
+/// parent's memory and frame layout.
+pub fn fork_child(image: &MonitorImage, parent: &mut Monitor) -> Result<Monitor, SnapshotError> {
+    let mem = parent.machine_mut().fork_mem();
+    rebuild(image.clone(), MemSource::Forked(mem))
+}
+
+/// Forks a quiescent monitor into `n` copy-on-write children: one
+/// [`capture`], then [`fork_child`] per child.
+/// `PhysMemory::shared_fraction` on a child reports how much is still
+/// shared.
 ///
 /// # Errors
 ///
@@ -101,10 +123,5 @@ pub fn restore_monitor(bytes: &[u8]) -> Result<Monitor, SnapshotError> {
 /// error.
 pub fn fork_monitor(parent: &mut Monitor, n: usize) -> Result<Vec<Monitor>, SnapshotError> {
     let image = capture(parent, false)?;
-    let mut children = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mem = parent.machine_mut().fork_mem();
-        children.push(rebuild(image.clone(), image::MemSource::Forked(mem))?);
-    }
-    Ok(children)
+    (0..n).map(|_| fork_child(&image, parent)).collect()
 }

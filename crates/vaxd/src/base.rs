@@ -7,8 +7,10 @@
 //! the same quiescent point:
 //!
 //! * a memory-less [`MonitorImage`] plus the live parent monitor, the
-//!   pair [`WarmBase::fork_child`] turns into a child in O(dirty) — the
-//!   exact `fork_monitor` recipe, amortized: capture once, fork many;
+//!   pair [`WarmBase::fork_child`] hands to [`vax_snap::fork_child`] —
+//!   `fork_monitor` amortized: capture once, fork many. A fork copies
+//!   no memory: it costs one word per page plus a fresh CPU, and the
+//!   child then pays 512 bytes per page it writes;
 //! * the full snapshot bytes, which make [`WarmBase::run_standalone`]
 //!   an *independent* oracle — a restored-from-bytes monitor running
 //!   the same payload must produce bit-identical console output to any
@@ -17,9 +19,7 @@
 
 use crate::payload::PAYLOAD_GPA;
 use crate::proto::{RequestError, RunStatus};
-use vax_snap::{
-    capture, rebuild, restore_monitor, snapshot_monitor, MemSource, MonitorImage, SnapshotError,
-};
+use vax_snap::{capture, restore_monitor, snapshot_monitor, MonitorImage, SnapshotError};
 use vax_vmm::{Monitor, MonitorConfig, RunExit, VmConfig};
 
 /// Why a warm base could not be constructed.
@@ -120,10 +120,9 @@ impl WarmBase {
             .map(|v| Monitor::admission_frames(&v.config))
             .sum();
         let vm0_mem_bytes = u64::from(image.vms[0].config.mem_pages) * 512;
-        // Freeze the copy-on-write base now (first fork pays the
-        // O(size) merge) so per-request forks are uniformly cheap and
-        // the Arc ref-count baseline the hygiene tests assert on is
-        // established before the first request.
+        // Freeze the copy-on-write base now so the Arc ref-count
+        // baseline the hygiene tests assert on is established before
+        // the first request.
         let mut parent = monitor;
         drop(parent.machine_mut().fork_mem());
         Ok(WarmBase {
@@ -203,16 +202,16 @@ impl WarmBase {
         self.parent.machine().mem()
     }
 
-    /// Forks one copy-on-write child. O(dirty pages): the image skeleton
-    /// is cloned, the memory crosses as a shared mapping.
+    /// Forks one copy-on-write child with [`vax_snap::fork_child`]: the
+    /// image skeleton is cloned and the child's monitor is built over a
+    /// fork of the parent's memory, which copies none of it.
     ///
     /// # Errors
     ///
     /// [`SnapshotError`] if reconstruction fails (cannot happen for an
     /// image captured by this base unless memory sizes diverge — a bug).
     pub fn fork_child(&mut self) -> Result<Monitor, SnapshotError> {
-        let mem = self.parent.machine_mut().fork_mem();
-        rebuild(self.image.clone(), MemSource::Forked(mem))
+        vax_snap::fork_child(&self.image, &mut self.parent)
     }
 
     /// Runs `payload` on a monitor restored from the base's snapshot

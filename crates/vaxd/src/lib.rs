@@ -2,7 +2,8 @@
 //!
 //! The serving model the snapshot/fork subsystem was built for: boot a
 //! guest OS **once** into a warm quiescent base, then serve each
-//! request by forking a copy-on-write child in O(dirty pages),
+//! request by forking a copy-on-write child that copies no memory up
+//! front (one word per page, then 512 bytes per page it writes),
 //! injecting the request's guest payload, running it under a
 //! per-tenant cycle budget, capturing console output, and reaping the
 //! child — hundreds of isolated VM executions per second from one

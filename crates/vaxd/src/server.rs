@@ -456,7 +456,8 @@ fn serve_run(
     }
     let requested = if budget == 0 { u64::MAX } else { budget };
     let (ticket, effective_budget) = inner.admission.admit(tenant, frame_cost, requested)?;
-    // Fork under the lock (O(dirty pages)); run outside it.
+    // Fork under the lock (no memory copied: one word per page and a
+    // fresh CPU); run outside it.
     let mut child = {
         let mut bases = lock_unpoisoned(&inner.bases);
         let b = bases

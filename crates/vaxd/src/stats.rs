@@ -130,12 +130,17 @@ impl DaemonStats {
             }
         }
         for (tenant, live, frames) in tenant_usage {
-            m.labeled_counter("vaxd_tenant_frames_in_use", "tenant", tenant, *frames);
-            m.labeled_counter(
+            m.labeled_gauge(
+                "vaxd_tenant_frames_in_use",
+                "tenant",
+                tenant,
+                *frames as f64,
+            );
+            m.labeled_gauge(
                 "vaxd_tenant_children_live",
                 "tenant",
                 tenant,
-                u64::from(*live),
+                f64::from(*live),
             );
         }
         m
@@ -185,8 +190,12 @@ mod tests {
             Some(1)
         );
         assert_eq!(
-            m.get_labeled_counter("vaxd_tenant_frames_in_use", "tenant", "alice"),
-            Some(700)
+            m.get_labeled_gauge("vaxd_tenant_frames_in_use", "tenant", "alice"),
+            Some(700.0)
+        );
+        assert_eq!(
+            m.get_labeled_gauge("vaxd_tenant_children_live", "tenant", "alice"),
+            Some(1.0)
         );
         let h = m.get_histogram("vaxd_request_latency_us").expect("present");
         assert_eq!(h.count(), 2);
@@ -194,6 +203,73 @@ mod tests {
         let prom = m.to_prometheus();
         assert!(prom.contains("vax_vaxd_requests_ok_by_tenant{tenant=\"alice\"} 2"));
         assert!(prom.contains("# TYPE vax_vaxd_requests_total counter"));
+    }
+
+    #[test]
+    fn every_level_family_is_typed_gauge() {
+        let s = DaemonStats::default();
+        s.record_ok("alice");
+        s.record_reject("tenant-frames");
+        s.forks_total.fetch_add(2, Ordering::Relaxed);
+        s.children_reaped.fetch_add(1, Ordering::Relaxed);
+        s.observe_latency_us(90);
+        let usage = vec![
+            ("alice".to_string(), 1u32, 700u64),
+            ("bob".to_string(), 0, 0),
+        ];
+        let prom = s.to_metrics(&usage, 0).to_prometheus();
+
+        // family -> declared type, from the `# TYPE` annotations.
+        let mut types = HashMap::new();
+        for line in prom.lines() {
+            if let Some(rest) = line.strip_prefix("# TYPE ") {
+                let (family, kind) = rest.split_once(' ').expect("# TYPE <family> <type>");
+                assert!(
+                    types.insert(family.to_string(), kind.to_string()).is_none(),
+                    "{family} typed twice"
+                );
+            }
+        }
+        // Every sample belongs to a typed family.
+        for line in prom.lines().filter(|l| !l.starts_with('#')) {
+            let name = line.split(['{', ' ']).next().expect("sample name");
+            let family = ["_bucket", "_sum", "_count"]
+                .iter()
+                .find_map(|suffix| {
+                    name.strip_suffix(suffix)
+                        .filter(|f| types.get(*f).map(String::as_str) == Some("histogram"))
+                })
+                .unwrap_or(name);
+            assert!(types.contains_key(family), "untyped sample: {line}");
+        }
+        for level in [
+            "vax_vaxd_forked_children_live",
+            "vax_vaxd_children_leaked",
+            "vax_vaxd_tenant_frames_in_use",
+            "vax_vaxd_tenant_children_live",
+        ] {
+            assert_eq!(
+                types.get(level).map(String::as_str),
+                Some("gauge"),
+                "{level}"
+            );
+        }
+        for total in [
+            "vax_vaxd_requests_total",
+            "vax_vaxd_requests_ok",
+            "vax_vaxd_forks_total",
+            "vax_vaxd_children_reaped",
+            "vax_vaxd_requests_ok_by_tenant",
+            "vax_vaxd_requests_rejected_by_reason",
+        ] {
+            assert_eq!(
+                types.get(total).map(String::as_str),
+                Some("counter"),
+                "{total}"
+            );
+        }
+        assert!(prom.contains("vax_vaxd_tenant_frames_in_use{tenant=\"alice\"} 700\n"));
+        assert!(prom.contains("vax_vaxd_tenant_children_live{tenant=\"bob\"} 0\n"));
     }
 
     #[test]
