@@ -627,6 +627,10 @@ impl Fleet {
         let misses = agg.get_counter("tlb_misses").unwrap_or(0);
         let rate = (hits + misses > 0).then(|| hits as f64 / (hits + misses) as f64);
         agg.gauge("tlb_hit_rate", rate);
+        for tier in ExecTier::ALL {
+            let members = self.members.iter().filter(|m| m.exec_tier() == tier);
+            agg.labeled_gauge("exec_tier", "tier", tier.name(), members.count() as f64);
+        }
         // Merge drops gauges by design; the fleet-wide dirty/touched
         // levels are the sums of the per-monitor levels (disjoint
         // memories), recomputed here from the sources.

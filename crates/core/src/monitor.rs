@@ -477,6 +477,17 @@ impl Monitor {
         m.counter("trans_chain_hits", ts.chain_hits);
         m.counter("trans_chain_links_severed", ts.chain_links_severed);
         m.counter("trans_invalidations", ts.invalidations);
+        // Which tier ran: a trans run that never got a block hot enough
+        // to translate otherwise reads exactly like a cache run.
+        for tier in ExecTier::ALL {
+            let active = tier == self.exec_tier();
+            m.labeled_gauge(
+                "exec_tier",
+                "tier",
+                tier.name(),
+                f64::from(u8::from(active)),
+            );
+        }
         if ts.blocks_translated > 0 {
             let mut h = Histogram::new();
             for (len, n) in ts.len_hist.iter().enumerate() {

@@ -403,13 +403,13 @@ impl Machine {
         let Some(pa) = self.fetch_pa_probe(VirtAddr::new(pc), mode) else {
             return Ok(false);
         };
-        let mapen = self.mmu.mapen();
         // Split borrows: the template stays a reference into the cache
         // while the fast path mutates only disjoint fields, so a hit
         // copies no template bytes.
         let Machine {
             icache,
             mem,
+            mmu,
             regs,
             cycles,
             costs,
@@ -423,8 +423,14 @@ impl Machine {
         }) else {
             return Ok(false);
         };
-        if tpl.simple && !mapen {
-            materialize_simple(tpl, regs, cycles, costs, d);
+        if tpl.simple {
+            materialize_simple(tpl, pc.wrapping_sub(pa), regs, cycles, costs, d);
+            if mmu.mapen() {
+                // The probe found the fetch page resident and readable,
+                // and a template never leaves its page: each fetch event
+                // of the bytewise decode would have been one TLB hit.
+                mmu.tlb_mut().record_hits(u64::from(tpl.fetch_events));
+            }
             return Ok(true);
         }
         let tpl = *tpl;
@@ -695,34 +701,44 @@ impl Machine {
     }
 }
 
-/// Fast materialization for templates with no memory-touching operands,
-/// usable only with mapping off: every fetch event then charges exactly
-/// one memory-reference (translate is the zero-cost identity) and
-/// nothing can fault or update a register mid-decode, so the per-event
-/// charges collapse into one add and operands come straight from the
-/// template and the live registers. Bit-identical to
+/// Fast materialization for templates with no memory-touching operands
+/// (literals, immediates, registers and branch displacements), once
+/// [`Machine::fetch_pa_probe`] has found the fetch page resident and
+/// readable. Every fetch event then costs exactly one memory reference —
+/// with mapping off translate is the zero-cost identity; with it on each
+/// is a TLB hit on the probed entry, which the caller credits in one
+/// batch — and nothing can fault or update a register mid-decode, so the
+/// per-event charges collapse into one add and operands come straight
+/// from the template and the live registers. Bit-identical to
 /// [`Machine::materialize`], which is itself bit-identical to the
-/// bytewise decode. A free function over disjoint `Machine` fields so
-/// the template can stay borrowed from the cache.
+/// bytewise decode. `rebase` is the fetch VA minus the PA the template
+/// was baked at (0 with mapping off). A free function over disjoint
+/// `Machine` fields so the template can stay borrowed from the cache.
 fn materialize_simple(
     tpl: &InstTemplate,
+    rebase: u32,
     regs: &[u32; 16],
     cycles: &mut u64,
     costs: &CostModel,
     d: &mut Decoded,
 ) {
     let pc_start = regs[15];
-    // With mapping off every fetch event costs exactly one
-    // memory-reference (translate is the identity and charge-free), so
-    // the whole bytewise i-stream charge collapses into one add.
     *cycles += tpl.fetch_events as u64 * costs.memory_reference;
     d.op = tpl.op;
     d.pc_start = pc_start;
     d.next_pc = pc_start.wrapping_add(tpl.len as u32);
-    // The template was baked at this PA, and with mapping off PA == VA,
-    // so the pre-materialized operands are exact; only register-sourced
+    // The template was baked at its PA; branch targets are the only
+    // position-dependent operands, so moving them by `rebase` makes the
+    // pre-materialized operands exact at this VA. Only register-sourced
     // slots need the live register file.
     d.operands = tpl.baked;
+    if rebase != 0 {
+        for o in d.operands.iter_mut() {
+            if let DecOp::Branch(t) = o {
+                *t = t.wrapping_add(rebase);
+            }
+        }
+    }
     d.reg_updates.clear();
     for p in &tpl.patches {
         let v = mask_width(regs[p.reg as usize], p.width as u32);

@@ -500,10 +500,7 @@ impl Machine {
                     unreachable!()
                 };
                 let _ = self.begin_commit(d);
-                for i in 0..len {
-                    let b = self.read_virt(src.wrapping_add(i), 1, cur_mode)?;
-                    self.write_virt(dst.wrapping_add(i), b, 1, cur_mode)?;
-                }
+                self.move_bytes(src, dst, len, cur_mode)?;
                 self.cycles += self.costs.string_per_byte * len as u64;
                 self.set_reg(0, 0);
                 self.set_reg(1, src.raw().wrapping_add(len));

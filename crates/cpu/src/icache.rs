@@ -102,30 +102,32 @@ pub(crate) struct InstTemplate {
     pub opcode_bytes: u8,
     /// Number of i-stream fetch events a bytewise decode issues (opcode
     /// bytes, specifier bytes, immediate/displacement/absolute fields).
-    /// Each event charges one memory-reference; with mapping off that is
-    /// the *whole* charge, so materialization can apply it in one add.
+    /// Each event charges one memory-reference; with mapping off, or
+    /// with the fetch page resident in the TLB, that is the *whole*
+    /// charge, so materialization can apply it in one add.
     pub fetch_events: u8,
     /// True when no operand touches memory or updates a register during
     /// specifier evaluation (only literals, immediates, registers, and
-    /// branch displacements). With mapping off such an instruction cannot
-    /// fault or leave side effects mid-decode, enabling the fast
-    /// materialization path.
+    /// branch displacements). Once the fetch page is known resident such
+    /// an instruction cannot fault or leave side effects mid-decode,
+    /// enabling the fast materialization path.
     pub simple: bool,
     pub ops: FixedVec<OpTpl, 6>,
-    /// Pre-materialized operands for the simple fast path, valid only at
-    /// the physical address passed to [`InstTemplate::bake`] with mapping
-    /// off (where VA == PA, so branch targets are per-entry constants).
-    /// Register-sourced slots hold placeholders listed in `patches`.
+    /// Pre-materialized operands for the simple fast path, resolved at
+    /// the physical address passed to [`InstTemplate::bake`]: branch
+    /// targets are exact where VA == PA (mapping off) and are moved by
+    /// `VA − PA` otherwise. Register-sourced slots hold placeholders
+    /// listed in `patches`.
     pub baked: FixedVec<DecOp, 6>,
     /// Register-dependent slots of `baked` to rewrite at each hit.
     pub patches: FixedVec<RegPatch, 6>,
 }
 
 impl InstTemplate {
-    /// Precomputes the operand array for the simple/mapping-off fast
-    /// path, resolving PC-relative values against `pa` (== the VA the
-    /// entry is keyed and hit by when mapping is off). No-op for
-    /// non-simple templates, which never take that path.
+    /// Precomputes the operand array for the simple fast path,
+    /// resolving branch targets against `pa` (== the VA the entry is hit
+    /// by when mapping is off; the fast path rebases them when it is on).
+    /// No-op for non-simple templates, which never take that path.
     pub fn bake(&mut self, pa: u32) {
         if !self.simple {
             return;

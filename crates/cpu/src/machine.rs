@@ -9,7 +9,7 @@ use crate::trans::{TransCache, TransStats};
 use std::collections::VecDeque;
 use vax_arch::{
     AccessMode, CostModel, Exception, Ipr, MachineVariant, Psl, ScbVector, VirtAddr, VmPsl,
-    PAGE_BYTES,
+    PAGE_BYTES, PAGE_SHIFT,
 };
 use vax_mem::{MemFault, Mmu, MmuState, PhysMemory};
 use vax_obs::prof::{Prof, ProfEventKind, ProfSink, ProfTier};
@@ -85,6 +85,9 @@ pub enum ExecTier {
 }
 
 impl ExecTier {
+    /// Every tier, slowest first.
+    pub const ALL: [ExecTier; 3] = [ExecTier::Interp, ExecTier::Cache, ExecTier::Trans];
+
     /// Parses a tier name as used by `vaxrun --exec-tier`.
     pub fn from_name(name: &str) -> Option<ExecTier> {
         match name {
@@ -814,6 +817,96 @@ impl Machine {
             }
             Ok(())
         }
+    }
+
+    /// Moves `len` bytes from `src` to `dst` as `mode`, with the charges,
+    /// TLB traffic, faults and partial writes of a forward loop of
+    /// one-byte `read_virt`/`write_virt` pairs — MOVC3's data movement.
+    ///
+    /// With the decode cache enabled the move is split at every source
+    /// and destination page boundary, and a chunk that
+    /// [`Machine::string_chunk_pas`] clears is copied in one
+    /// [`PhysMemory::copy_forward`] with its per-byte charges and TLB
+    /// hits replayed in one batch. Otherwise — and always on the
+    /// interpreter tier, the per-byte oracle — one byte goes through
+    /// the byte loop's read/write pair and the remainder is
+    /// re-examined, so a fault lands on the same byte after the same
+    /// partial writes.
+    ///
+    /// # Errors
+    ///
+    /// The first [`MemFault`] the byte loop would raise.
+    pub(crate) fn move_bytes(
+        &mut self,
+        src: VirtAddr,
+        dst: VirtAddr,
+        len: u32,
+        mode: AccessMode,
+    ) -> Result<(), MemFault> {
+        let mut done = 0;
+        while done < len {
+            let (s, d) = (src.wrapping_add(done), dst.wrapping_add(done));
+            let n = (len - done)
+                .min(PAGE_BYTES - s.byte_offset())
+                .min(PAGE_BYTES - d.byte_offset());
+            let fast = if self.icache_enabled {
+                self.string_chunk_pas(s, d, n, mode)
+            } else {
+                None
+            };
+            if let Some((spa, dpa)) = fast {
+                self.cycles += 2 * u64::from(n) * self.costs.memory_reference;
+                if self.mmu.mapen() {
+                    self.mmu.tlb_mut().record_hits(2 * u64::from(n));
+                }
+                self.mem.copy_forward(spa, dpa, n)?;
+                done += n;
+            } else {
+                // One byte the oracle's way. Its translations may warm
+                // the TLB or set M, so the rest of the chunk is
+                // re-probed rather than committed to the byte loop.
+                let b = self.read_virt(s, 1, mode)?;
+                self.write_virt(d, b, 1, mode)?;
+                done += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// The physical addresses of an `n`-byte string-move chunk (within
+    /// one source and one destination page) when its byte loop would
+    /// take no fault, walk, modify-bit update or device access: each
+    /// byte would then hit the TLB for free and touch RAM, charging one
+    /// memory reference per read and per write and nothing else. That
+    /// needs both pages resident in the TLB at once (two pages that
+    /// collide in its direct-mapped slots evict each other per byte),
+    /// a readable source, a writable destination with `PTE<M>` already
+    /// cached, and both ranges in RAM. Counter-free, like
+    /// [`Machine::fetch_pa_probe`]; `None` sends the chunk to the byte
+    /// loop.
+    fn string_chunk_pas(
+        &self,
+        src: VirtAddr,
+        dst: VirtAddr,
+        n: u32,
+        mode: AccessMode,
+    ) -> Option<(u32, u32)> {
+        let (spa, dpa) = if self.mmu.mapen() {
+            let tlb = self.mmu.tlb();
+            let se = tlb.peek(src)?;
+            let de = tlb.peek(dst)?;
+            if !se.prot.allows(mode, false) || !de.prot.allows(mode, true) || !de.modified {
+                return None;
+            }
+            (
+                (se.pfn << PAGE_SHIFT) | src.byte_offset(),
+                (de.pfn << PAGE_SHIFT) | dst.byte_offset(),
+            )
+        } else {
+            (src.raw(), dst.raw())
+        };
+        let ram = |pa: u32| pa < IO_BASE_PA && IO_BASE_PA - pa >= n && self.mem.contains(pa, n);
+        (ram(spa) && ram(dpa)).then_some((spa, dpa))
     }
 
     /// Pushes a longword on the *current* stack.

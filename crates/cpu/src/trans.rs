@@ -38,7 +38,7 @@
 //! successor link on the predecessor. Links are bookkeeping, not trusted
 //! pointers: every follow revalidates, and a recorded link found dead
 //! (page invalidated by TBIS or self-modifying code) is severed and
-//! counted. At most [`MAX_CHAIN_FOLLOWS`] edges are followed per `step()`
+//! counted. At most `MAX_CHAIN_FOLLOWS` (32) edges are followed per `step()`
 //! so callers keep their step-granularity guarantees; interrupt delivery
 //! is checked after every µop regardless.
 //!

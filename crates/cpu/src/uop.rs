@@ -1,14 +1,14 @@
 //! The threaded-µop intermediate representation.
 //!
-//! [`lower`] turns one parsed [`InstTemplate`] into one [`Uop`]: a
+//! `lower` turns one parsed `InstTemplate` into one `Uop`: a
 //! self-contained micro-operation whose operand sources are resolved to
 //! an immediate constant, a register number, or a side-effect-free
-//! effective-address recipe ([`Ea`]); whose branch targets are absolute
+//! effective-address recipe (`Ea`); whose branch targets are absolute
 //! virtual addresses; and whose entire cycle charge (i-stream fetch
 //! events plus data references, times the memory-reference cost, plus
 //! the base-instruction and any opcode-specific charge) is folded into a
 //! single constant. The translated execution tier in `trans.rs`
-//! dispatches over [`UopKind`] with none of the per-step decode, operand
+//! dispatches over `UopKind` with none of the per-step decode, operand
 //! materialization, or event plumbing of the interpreter — while
 //! producing bit-identical architectural state, cycle counts, and
 //! counters.

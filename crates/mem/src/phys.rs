@@ -434,9 +434,9 @@ impl PhysMemory {
     // ---- working-set write tracking ----
 
     /// Enables working-set telemetry: from now on every write marks its
-    /// pages touched and dirty (see [`WriteTracker`]). Re-enabling resets
-    /// the tracker. Observational only — contents, faults, and timing on
-    /// the simulated clock are unaffected.
+    /// pages touched and dirty in the (private) `WriteTracker`.
+    /// Re-enabling resets the tracker. Observational only — contents,
+    /// faults, and timing on the simulated clock are unaffected.
     pub fn enable_write_tracking(&mut self) {
         let pages = self.pages() as usize;
         self.tracker = Some(Box::new(WriteTracker {
@@ -691,6 +691,58 @@ impl PhysMemory {
         Ok(Cow::Owned(out))
     }
 
+    /// Copies `len` bytes from `src` to `dst` with the semantics of a
+    /// forward byte-at-a-time loop — `dst[k] = src[k]` for `k = 0, 1, …`
+    /// — which is what a string move does: a destination overlapping the
+    /// source from above re-reads bytes already written and so
+    /// replicates the leading `dst - src` bytes. Dirties the destination
+    /// pages exactly as `len` one-byte writes would (one dirty-code
+    /// notice per marked page rather than per byte).
+    ///
+    /// # Errors
+    ///
+    /// [`MemFault::NonExistent`] if either range extends beyond memory;
+    /// nothing is written then.
+    pub fn copy_forward(&mut self, src: u32, dst: u32, len: u32) -> Result<(), MemFault> {
+        let s = self.check(src, len)?;
+        let d = self.check(dst, len)?;
+        if len == 0 {
+            return Ok(());
+        }
+        self.note_write(dst, len);
+        if self.base.is_none() {
+            forward_copy(&mut self.bytes, s, d, len as usize);
+            return Ok(());
+        }
+        // Forked: page by page, split at both ranges' page boundaries.
+        // Pieces on distinct physical pages cannot overlap, and one on a
+        // single page lives in one private slot, so a forward copy per
+        // piece, in order, is the byte loop.
+        let mut done = 0;
+        while done < len as usize {
+            let (s, d) = (s + done, d + done);
+            let n = (len as usize - done)
+                .min(PAGE - (s & PAGE_MASK))
+                .min(PAGE - (d & PAGE_MASK));
+            // Copy the destination page up first, so a source on the
+            // same page reads the private copy.
+            let to = self.private_page(d >> PAGE_SHIFT) + (d & PAGE_MASK);
+            match self.page_words[s >> PAGE_SHIFT] & SLOT_MASK {
+                0 => {
+                    if let Some(base) = &self.base {
+                        self.bytes[to..to + n].copy_from_slice(&base[s..s + n]);
+                    }
+                }
+                slot => {
+                    let from = (((slot - 1) as usize) << PAGE_SHIFT) + (s & PAGE_MASK);
+                    forward_copy(&mut self.bytes, from, to, n);
+                }
+            }
+            done += n;
+        }
+        Ok(())
+    }
+
     /// Zero-fills the `len`-byte range at `pa`.
     ///
     /// # Errors
@@ -708,6 +760,19 @@ impl PhysMemory {
             self.bytes[i..i + len as usize].fill(0);
         }
         Ok(())
+    }
+}
+
+/// `buf[dst..dst+n] = buf[src..src+n]` as a forward byte loop: a plain
+/// `memmove` unless the destination starts inside the source, where the
+/// loop's re-reading of fresh bytes is the defined result.
+fn forward_copy(buf: &mut [u8], src: usize, dst: usize, n: usize) {
+    if dst <= src || dst >= src + n {
+        buf.copy_within(src..src + n, dst);
+    } else {
+        for k in 0..n {
+            buf[dst + k] = buf[src + k];
+        }
     }
 }
 

@@ -188,6 +188,12 @@ enum MemOp {
         pa: u32,
         len: u32,
     },
+    CopyForward {
+        who: usize,
+        src: u32,
+        dst: u32,
+        len: u32,
+    },
     PageTail {
         who: usize,
         pa: u32,
@@ -236,6 +242,17 @@ fn arb_mem_op() -> impl Strategy<Value = MemOp> {
             .prop_map(|(who, pa, len)| MemOp::ZeroRange { who, pa, len }),
         2 => (who.clone(), arb_pa(), 0u32..1100)
             .prop_map(|(who, pa, len)| MemOp::ReadSlice { who, pa, len }),
+        // Destinations anywhere, or overlapping the source from above
+        // or below.
+        2 => (who.clone(), arb_pa(), arb_pa(), 0u32..1100, 0u8..3, 1u32..600)
+            .prop_map(|(who, src, pa, len, shape, d)| {
+                let dst = match shape {
+                    0 => pa,
+                    1 => src.wrapping_add(d),
+                    _ => src.wrapping_sub(d),
+                };
+                MemOp::CopyForward { who, src, dst, len }
+            }),
         1 => (who.clone(), arb_pa()).prop_map(|(who, pa)| MemOp::PageTail { who, pa }),
         2 => who.clone().prop_map(|who| MemOp::Fork { who }),
         1 => who.clone().prop_map(|who| MemOp::Drop { who }),
@@ -388,6 +405,33 @@ proptest! {
                         Some(range) => prop_assert_eq!(got, Ok(r.model[range].to_vec())),
                         None => prop_assert_eq!(got, Err(MemFault::NonExistent { pa })),
                     }
+                }
+                MemOp::CopyForward { who, src, dst, len } => {
+                    let r = &mut rels[who % n];
+                    let got = r.mem.copy_forward(src, dst, len);
+                    let notices = match (Relative::range(src, len), Relative::range(dst, len)) {
+                        (Some(from), Some(_)) => {
+                            prop_assert_eq!(got, Ok(()));
+                            // The byte loop: later bytes may re-read
+                            // earlier ones when dst overlaps src from
+                            // above.
+                            let mut moved = r.model.clone();
+                            for (k, i) in from.enumerate() {
+                                moved[dst as usize + k] = moved[i];
+                            }
+                            let data = moved[dst as usize..(dst + len) as usize].to_vec();
+                            r.model_write(dst, &data)
+                        }
+                        (None, _) => {
+                            prop_assert_eq!(got, Err(MemFault::NonExistent { pa: src }));
+                            Vec::new()
+                        }
+                        (_, None) => {
+                            prop_assert_eq!(got, Err(MemFault::NonExistent { pa: dst }));
+                            Vec::new()
+                        }
+                    };
+                    prop_assert_eq!(r.mem.take_dirty_code_pages(), notices);
                 }
                 MemOp::PageTail { who, pa } => {
                     let r = &rels[who % n];

@@ -351,6 +351,7 @@ fn prom_help(name: &str) -> &'static str {
         "trace_records_dropped" => "Exit-trace records dropped at ring capacity",
         "fleet_monitors" => "Monitors aggregated into this registry",
         "tlb_hit_rate" => "TLB hits over lookups, point-in-time",
+        "exec_tier" => "1 for the execution tier in effect, else 0 (fleet: members per tier)",
         "decode_cache_hit_rate" => "Decode-cache hits over lookups, point-in-time",
         "superblock_length" => "Superblock lengths in uops at translate time",
         "trans_blocks_translated" => "Superblocks lowered into the translation cache",

@@ -256,7 +256,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use core::ops::Range;
 
-    /// Strategy for `Vec`s with random length (see [`vec`]).
+    /// Strategy for `Vec`s with random length (see [`vec()`]).
     pub struct VecStrategy<S> {
         element: S,
         size: Range<usize>,

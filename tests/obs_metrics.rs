@@ -4,8 +4,8 @@
 //! MTPR-to-IPL is an order of magnitude more expensive virtualized.
 
 use vax_arch::{MachineVariant, Psl};
-use vax_cpu::{CpuCounters, Machine, StepEvent};
-use vax_vmm::{ExitCause, Monitor, MonitorConfig, RunExit, VmConfig};
+use vax_cpu::{CpuCounters, ExecTier, Machine, StepEvent};
+use vax_vmm::{ExitCause, Fleet, Monitor, MonitorConfig, RunExit, VmConfig};
 
 /// A guest kernel that exercises several exit causes: MTPR-to-IPL (the
 /// §7.3 hot path), MTPR-to-TXDB (other-register emulation), and a final
@@ -153,10 +153,65 @@ fn metrics_exposition_covers_counters_and_histograms() {
         "{prom}"
     );
     assert!(prom.contains("_bucket{le=\"+Inf\"}"), "{prom}");
+    // The exec tier is a level: one family typed gauge, 1 on the tier in
+    // effect (the default, cache) and 0 on the others.
+    assert_eq!(
+        prom.matches("# TYPE vax_exec_tier gauge\n").count(),
+        1,
+        "{prom}"
+    );
+    for (tier, level) in [("interp", 0), ("cache", 1), ("trans", 0)] {
+        let sample = format!("vax_exec_tier{{tier=\"{tier}\"}} {level}\n");
+        assert!(prom.contains(&sample), "{prom}");
+    }
 
     let trace = vax_vmm::chrome_trace(monitor.obs().unwrap().trace().iter());
     assert!(trace.contains("\"traceEvents\""));
     assert!(trace.contains("emul_mtpr_ipl"));
+}
+
+/// The guest's loop never gets hot enough to translate, so a trans-tier
+/// run reports every trans counter at zero, exactly like a cache run:
+/// only the `exec_tier` gauge tells the two apart. A fleet reports how
+/// many members run each tier.
+#[test]
+fn exec_tier_gauge_names_the_tier_that_ran() {
+    let program = vax_asm::assemble_text(GUEST, 0x1000).unwrap();
+    let run = |tier: ExecTier| {
+        let mut monitor = Monitor::new(MonitorConfig::default());
+        monitor.set_exec_tier(tier);
+        let vm = monitor.create_vm("guest", VmConfig::default());
+        monitor
+            .vm_write_phys(vm, program.base, &program.bytes)
+            .unwrap();
+        monitor.boot_vm(vm, program.base);
+        assert_eq!(monitor.run(500_000_000), RunExit::AllHalted);
+        monitor
+    };
+    let mut fleet = Fleet::new();
+    for tier in [ExecTier::Trans, ExecTier::Cache, ExecTier::Trans] {
+        let monitor = run(tier);
+        let m = monitor.metrics();
+        assert_eq!(m.get_counter("trans_blocks_executed"), Some(0));
+        for t in ExecTier::ALL {
+            let want = if t == tier { 1.0 } else { 0.0 };
+            assert_eq!(
+                m.get_labeled_gauge("exec_tier", "tier", t.name()),
+                Some(want)
+            );
+        }
+        fleet.push(monitor);
+    }
+    let agg = fleet.fleet_metrics();
+    for (tier, members) in [("interp", 0.0), ("cache", 1.0), ("trans", 2.0)] {
+        assert_eq!(
+            agg.get_labeled_gauge("exec_tier", "tier", tier),
+            Some(members)
+        );
+    }
+    let prom = agg.to_prometheus();
+    assert!(prom.contains("# TYPE vax_exec_tier gauge\n"), "{prom}");
+    assert!(prom.contains("vax_exec_tier{tier=\"trans\"} 2\n"), "{prom}");
 }
 
 /// Like [`run_guest`] with the profiler on; the simulation outcome must
