@@ -130,12 +130,12 @@ fn main() {
     // independently; sharing is measured after the children's guests
     // have dirtied whatever they dirty.
     let mut parent = subject(&scale);
-    let image = capture(&parent, false).expect("capture");
+    let image = capture(&parent).expect("capture");
     let mut min_shared = 1.0f64;
     let mut serve_times = Vec::new();
     for rep in 0..=scale.forks {
         let t = Instant::now();
-        let mut child = fork_child(&image, &mut parent).expect("fork");
+        let mut child = fork_child(&image, parent.machine_mut().mem_mut()).expect("fork");
         if rep > 0 {
             serve_times.push(t.elapsed().as_secs_f64());
         }

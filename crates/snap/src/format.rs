@@ -1,33 +1,53 @@
-//! The `VAXSNAP1` wire format: framing, field order, and validation.
+//! The snapshot wire format: one writer and one reader for every image,
+//! full or incremental (DESIGN.md §13, §16).
 //!
-//! Layout (DESIGN.md §13):
+//! Layout:
 //!
 //! ```text
 //! magic    "VAXSNAP1"            8 bytes
-//! version  u32                   currently 1
+//! version  u32                   currently 3
 //! length   u64                   payload byte count
-//! payload  ...                   monitor config, scheduler, machine
-//!                                state, memory (zero-page RLE), VMs
+//! payload  parent digest (u64)   snapshot_digest of the image this one
+//!                                patches
+//!          monitor config, scheduler, machine state
+//!          VM count + per-VM config/state/shadow
+//!          extent count (u32)
+//!          per extent: start page (u32) + its pages (zero-page RLE)
 //! checksum u64                   FNV-1a 64 over the payload
 //! ```
 //!
-//! Every multi-byte field is little-endian. [`encode`] is a pure
-//! function of the captured image — identical state encodes to identical
-//! bytes, which is what lets tests assert snapshot determinism as byte
-//! equality. [`decode`] treats the image as untrusted input: every
+//! Every image is a delta: the complete non-memory monitor state plus
+//! the memory pages that differ from its parent, as sorted runs of
+//! consecutive pages. A full snapshot is the image whose parent is
+//! all-zero memory — digest `snapshot_digest(&[])` — and whose extents
+//! cover every page; an incremental one names its predecessor's digest
+//! and carries the pages written since. Restoring a chain decodes each
+//! image in turn straight into the one memory being restored.
+//!
+//! Two older layouts stay readable. `VAXDLT1\0` version 1 (the delta
+//! images of earlier builds) has exactly this payload. `VAXSNAP1`
+//! version 2 (their full images) has no parent digest — its parent is
+//! the zero image — and carries all of memory as one RLE stream between
+//! the machine state and the VMs. Any other (magic, version) pair is
+//! refused.
+//!
+//! Every multi-byte field is little-endian, and the writer is a pure
+//! function of its inputs. The reader treats an image as untrusted
+//! input: every
 //! discriminant is range-checked, every length validated against both
-//! the bytes present and the format's own caps, and every cross-field
-//! inconsistency (a `current` index past the VM count, a memory image
-//! that disagrees with the configured size) is an error — so the
-//! reconstruction path behind it can never panic.
+//! the bytes present and the format's own caps, every cross-field
+//! inconsistency (a `current` index past the VM count, an extent past
+//! the configured memory) is an error, and every allocation is charged
+//! against a budget first — so the reconstruction path behind it can
+//! never panic.
 
 use crate::error::SnapshotError;
 use crate::image::{MonitorImage, VmImage};
-use crate::wire::{fnv1a64, Reader, Writer};
+use crate::wire::{fnv1a64, Reader, Writer, PAGE};
 use std::collections::VecDeque;
 use vax_arch::{AccessMode, CostModel, Protection, Psl, VmPsl};
 use vax_cpu::{CpuCounters, IrqRequest, MachineState, TimerState};
-use vax_mem::{MemCounters, MmuState, TlbEntry, TlbState};
+use vax_mem::{MemCounters, MmuState, PhysMemory, TlbEntry, TlbState};
 use vax_vmm::vm::{VirtualIrq, VirtualTimer};
 use vax_vmm::{
     intern_diagnostic, DirtyStrategy, IoStrategy, MonitorConfig, SchedulerState, ShadowCacheState,
@@ -36,18 +56,23 @@ use vax_vmm::{
 
 /// The file magic.
 pub const MAGIC: &[u8; 8] = b"VAXSNAP1";
-/// The format version this build writes and the only one it reads.
-/// Version 2 added the machine's write-tracking enablement flag so an
-/// incremental-snapshot chain keeps producing deltas after a restore.
-pub const VERSION: u32 = 2;
-
-pub(crate) const PAGE: usize = 512;
+/// The format version this build writes. Version 3 made every image a
+/// delta; version 2 added the machine's write-tracking enablement flag
+/// so an incremental-snapshot chain keeps producing deltas after a
+/// restore.
+pub const VERSION: u32 = 3;
+/// The last version whose full images carry memory as one stream.
+const FULL_V2: u32 = 2;
+/// The magic of the version-1 delta images earlier builds wrote.
+const DELTA_MAGIC: &[u8; 8] = b"VAXDLT1\0";
+/// Frame bytes before the payload: magic, version, payload length.
+pub(crate) const HEADER: usize = 20;
 
 // Structural caps. Each bounds an allocation or a reconstruction cost
 // that a length prefix alone cannot (zero RLE runs and table capacities
 // expand beyond their encoded size).
 pub(crate) const MAX_MEM_BYTES: u32 = 1 << 30;
-pub(crate) const MAX_VMS: u32 = 256;
+const MAX_VMS: u32 = 256;
 const MAX_TLB_SLOTS: u32 = 1 << 16;
 const MAX_NAME: usize = 256;
 const MAX_DIAG: usize = 256;
@@ -59,16 +84,19 @@ const MAX_PENDING: u32 = 4096;
 const MAX_CACHE_SLOTS: u32 = 4096;
 const MAX_TABLE_PAGES: u32 = 1 << 22;
 
-// Global materialization budget. The per-field caps above bound each
-// allocation individually; this bounds their *sum*, so a few-KB hostile
-// image cannot claim the memory cap plus 256 maximal zero-RLE vdisks
-// (~129 GiB) one legal field at a time. [`validate_caps`] enforces the
+// Global materialization budget, per image. The per-field caps above
+// bound each allocation individually; this bounds their *sum*, so a
+// few-KB hostile image cannot claim the memory cap plus 256 maximal
+// zero-RLE vdisks (~129 GiB) one legal field at a time. Every image of
+// a chain is charged for the machine memory it decodes into, whether it
+// allocates it (the base) or patches it (each delta), so an image costs
+// the same wherever it sits in a chain. [`validate_caps`] enforces the
 // same budget at capture, so a monitor that snapshots is a monitor that
 // restores.
 pub(crate) const MAX_TOTAL_BYTES: u64 = 2 * MAX_MEM_BYTES as u64;
 
 /// Deducts `bytes` of materialized decode output from the budget.
-pub(crate) fn charge(remaining: &mut u64, bytes: u64) -> Result<(), SnapshotError> {
+fn charge(remaining: &mut u64, bytes: u64) -> Result<(), SnapshotError> {
     if bytes > *remaining {
         return Err(SnapshotError::Invalid {
             what: "image over decode size budget",
@@ -78,38 +106,161 @@ pub(crate) fn charge(remaining: &mut u64, bytes: u64) -> Result<(), SnapshotErro
     Ok(())
 }
 
-/// Frames the payload: magic, version, length, payload, checksum.
-pub fn encode(image: &MonitorImage) -> Vec<u8> {
-    let mut p = Writer::new();
-    write_payload(&mut p, image);
-    let payload = p.into_bytes();
+/// The image writer. Frames `image` as a delta against the image whose
+/// digest is `parent`, carrying `pages` of `mem` — strictly ascending
+/// page numbers — coalesced into runs of consecutive pages and
+/// run-length coded straight from memory. A full snapshot passes
+/// `snapshot_digest(&[])` and every page; an incremental one passes its
+/// predecessor's digest and the pages written since. A pure function of
+/// its inputs: identical state encodes to identical bytes, which is
+/// what lets tests assert snapshot determinism as byte equality.
+///
+/// # Errors
+///
+/// [`SnapshotError::Invalid`] if `mem` is not the configured size or
+/// `pages` is not strictly ascending within it.
+pub(crate) fn encode(
+    image: &MonitorImage,
+    parent: u64,
+    mem: &PhysMemory,
+    pages: impl IntoIterator<Item = u32>,
+) -> Result<Vec<u8>, SnapshotError> {
+    if mem.size() != image.config.mem_bytes {
+        return Err(SnapshotError::Invalid {
+            what: "memory size disagrees with configuration",
+        });
+    }
     let mut w = Writer::new();
     w.bytes(MAGIC);
     w.u32(VERSION);
-    w.u64(payload.len() as u64);
-    w.bytes(&payload);
-    w.u64(fnv1a64(&payload));
-    w.into_bytes()
+    w.u64(0); // payload length, set below
+    write_payload(&mut w, image, parent, mem, pages)?;
+    let mut bytes = w.into_bytes();
+    let len = (bytes.len() - HEADER) as u64;
+    bytes[HEADER - 8..HEADER].copy_from_slice(&len.to_le_bytes());
+    let checksum = fnv1a64(&bytes[HEADER..]);
+    bytes.extend_from_slice(&checksum.to_le_bytes());
+    Ok(bytes)
 }
 
-/// Parses and fully validates an image. After this returns `Ok`, the
-/// reconstruction in [`crate::image::rebuild`] cannot hit a panicking
-/// importer.
-pub fn decode(bytes: &[u8]) -> Result<MonitorImage, SnapshotError> {
-    decode_with_budget(bytes, MAX_TOTAL_BYTES)
+fn write_payload(
+    w: &mut Writer,
+    image: &MonitorImage,
+    parent: u64,
+    mem: &PhysMemory,
+    pages: impl IntoIterator<Item = u32>,
+) -> Result<(), SnapshotError> {
+    w.u64(parent);
+    write_monitor_config(w, &image.config);
+    write_scheduler(w, &image.sched);
+    write_machine(w, &image.machine);
+    w.u32(image.vms.len() as u32);
+    for vm in &image.vms {
+        write_vm_config(w, &vm.config);
+        write_vm(w, &vm.vm);
+        write_shadow(w, &vm.shadow);
+    }
+    let invalid = SnapshotError::Invalid {
+        what: "page list unsorted or past the end of memory",
+    };
+    let count_at = w.u32_placeholder();
+    let mut count = 0;
+    // First page not yet covered: the writer's mirror of the reader's
+    // sorted-and-disjoint check.
+    let mut next_free = 0;
+    let mut pages = pages.into_iter().peekable();
+    while let Some(start) = pages.next() {
+        if start < next_free || start >= mem.pages() {
+            return Err(invalid);
+        }
+        let mut end = start + 1;
+        while pages.next_if_eq(&end).is_some() {
+            end += 1;
+        }
+        if end > mem.pages() {
+            return Err(invalid);
+        }
+        w.u32(start);
+        w.rle_pages((start..end).map_while(|p| mem.page(p)));
+        count += 1;
+        next_free = end;
+    }
+    w.patch_u32(count_at, count);
+    Ok(())
 }
 
-/// [`decode`] with an explicit materialization budget — the seam that
-/// lets tests exercise the aggregate limit without multi-GiB images.
-pub(crate) fn decode_with_budget(bytes: &[u8], budget: u64) -> Result<MonitorImage, SnapshotError> {
+/// The payload layouts the reader accepts, by frame magic and version.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Layout {
+    /// Version 3, and the `VAXDLT1\0` version-1 deltas: parent digest
+    /// first, memory as page extents last.
+    Extents,
+    /// Version 2 full images: no parent digest (the zero image's), all
+    /// of memory as one RLE stream between machine state and VMs.
+    FullV2,
+}
+
+/// Reconstructs the state at the end of a chain — `base`, then each of
+/// `deltas` in order — decoding every image straight into the one
+/// memory it returns. Each image must name the digest of its
+/// predecessor's bytes as its parent, and `base` the zero image's, so a
+/// wrong base, a reordered chain, or a delta restored on its own fails
+/// before its state is used. `budget` is the per-image materialization
+/// budget ([`MAX_TOTAL_BYTES`] outside tests, which use it to exercise
+/// the aggregate limit without multi-GiB images).
+pub(crate) fn decode_chain<D: AsRef<[u8]>>(
+    base: &[u8],
+    deltas: &[D],
+    budget: u64,
+) -> Result<(MonitorImage, PhysMemory), SnapshotError> {
+    // Empty until the base sizes it: the one memory of the restore.
+    let mut memory = Vec::new();
+    let mut image = decode_image(base, fnv1a64(&[]), &mut memory, budget)?;
+    let mut parent = base;
+    for delta in deltas {
+        let delta = delta.as_ref();
+        image = decode_image(delta, fnv1a64(parent), &mut memory, budget)?;
+        parent = delta;
+    }
+    let memory = PhysMemory::from_vec(memory).ok_or(SnapshotError::Invalid {
+        what: "machine memory size",
+    })?;
+    Ok((image, memory))
+}
+
+/// Decodes one image, checking that it names `parent`, into `memory`.
+fn decode_image(
+    bytes: &[u8],
+    parent: u64,
+    memory: &mut Vec<u8>,
+    budget: u64,
+) -> Result<MonitorImage, SnapshotError> {
+    let (layout, payload) = unframe(bytes)?;
+    let mut r = Reader::new(payload);
+    let mut remaining = budget;
+    let image = read_payload(&mut r, layout, parent, memory, &mut remaining)?;
+    if !r.is_empty() {
+        return Err(SnapshotError::TrailingBytes);
+    }
+    Ok(image)
+}
+
+/// The frame reader: magic and version pick the payload layout; the
+/// length, the checksum and the absence of trailing bytes are checked
+/// before the payload is parsed.
+fn unframe(bytes: &[u8]) -> Result<(Layout, &[u8]), SnapshotError> {
     let mut r = Reader::new(bytes);
-    if r.take(8)? != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
+    let magic = r.take(8)?;
     let version = r.u32()?;
-    if version != VERSION {
-        return Err(SnapshotError::UnsupportedVersion { found: version });
-    }
+    let layout = match version {
+        VERSION if magic == MAGIC => Layout::Extents,
+        FULL_V2 if magic == MAGIC => Layout::FullV2,
+        1 if magic == DELTA_MAGIC => Layout::Extents,
+        found if magic == MAGIC || magic == DELTA_MAGIC => {
+            return Err(SnapshotError::UnsupportedVersion { found })
+        }
+        _ => return Err(SnapshotError::BadMagic),
+    };
     let len = usize::try_from(r.u64()?).map_err(|_| SnapshotError::Truncated)?;
     let payload = r.take(len)?;
     let expected = r.u64()?;
@@ -120,16 +271,121 @@ pub(crate) fn decode_with_budget(bytes: &[u8], budget: u64) -> Result<MonitorIma
     if actual != expected {
         return Err(SnapshotError::Checksum { expected, actual });
     }
-    let mut p = Reader::new(payload);
-    let mut remaining = budget;
-    let image = read_payload(&mut p, &mut remaining)?;
-    if !p.is_empty() {
-        return Err(SnapshotError::TrailingBytes);
-    }
-    Ok(image)
+    Ok((layout, payload))
 }
 
-/// Checks a captured image against every structural cap [`decode`]
+/// The payload reader. `memory` is empty for the first image of a
+/// chain, which allocates it zeroed; every later image must agree on
+/// its size and overwrites the pages it carries.
+fn read_payload(
+    r: &mut Reader<'_>,
+    layout: Layout,
+    parent: u64,
+    memory: &mut Vec<u8>,
+    remaining: &mut u64,
+) -> Result<MonitorImage, SnapshotError> {
+    let recorded = match layout {
+        Layout::Extents => r.u64()?,
+        Layout::FullV2 => fnv1a64(&[]),
+    };
+    if recorded != parent {
+        return Err(SnapshotError::Invalid {
+            what: if parent == fnv1a64(&[]) {
+                "image is a delta, not a full snapshot"
+            } else {
+                "delta chain digest mismatch"
+            },
+        });
+    }
+    let config = read_monitor_config(r)?;
+    charge(remaining, u64::from(config.mem_bytes))?;
+    let zeroed = memory.is_empty();
+    if zeroed {
+        *memory = vec![0; config.mem_bytes as usize];
+    } else if memory.len() != config.mem_bytes as usize {
+        return Err(SnapshotError::Invalid {
+            what: "delta memory size disagrees with base",
+        });
+    }
+    let sched = read_scheduler(r)?;
+    let machine = read_machine(r, remaining)?;
+    if layout == Layout::FullV2 {
+        r.rle_pages(memory, zeroed, "memory image")?;
+    }
+    let vm_count = r.u32()?;
+    if vm_count > MAX_VMS {
+        return Err(SnapshotError::Invalid {
+            what: "VM count over format cap",
+        });
+    }
+    if let Some(current) = sched.current {
+        if current >= vm_count as usize {
+            return Err(SnapshotError::Invalid {
+                what: "current VM index out of range",
+            });
+        }
+    }
+    let mut vms = Vec::new();
+    for _ in 0..vm_count {
+        let vm_config = read_vm_config(r)?;
+        let vm = read_vm(r, &vm_config, remaining)?;
+        let shadow = read_shadow(r, &vm_config)?;
+        vms.push(VmImage {
+            config: vm_config,
+            vm,
+            shadow,
+        });
+    }
+    if layout == Layout::Extents {
+        read_extents(r, memory, zeroed)?;
+    }
+    Ok(MonitorImage {
+        config,
+        sched,
+        machine,
+        vms,
+    })
+}
+
+/// Decodes the page extents into `memory`: strictly ascending, disjoint
+/// and within the memory, each checked before any of its bytes land.
+fn read_extents(r: &mut Reader<'_>, memory: &mut [u8], zeroed: bool) -> Result<(), SnapshotError> {
+    let mem_pages = (memory.len() / PAGE) as u32;
+    let count = r.u32()?;
+    // Extents are non-empty and disjoint, so more of them than pages
+    // cannot be legal.
+    if count > mem_pages {
+        return Err(SnapshotError::Invalid {
+            what: "extent count over memory size",
+        });
+    }
+    // First page not yet covered; enforces sorted + disjoint.
+    let mut next_free = 0u32;
+    for _ in 0..count {
+        let start = r.u32()?;
+        if start < next_free || start >= mem_pages {
+            return Err(SnapshotError::Invalid {
+                what: "extents unsorted or out of range",
+            });
+        }
+        let pages = r.u32()?;
+        if pages == 0 || pages > mem_pages - start {
+            return Err(SnapshotError::Invalid {
+                what: "extent size out of range",
+            });
+        }
+        let at = start as usize * PAGE;
+        r.rle_body(
+            &mut memory[at..at + pages as usize * PAGE],
+            zeroed,
+            "memory extent",
+        )?;
+        next_free = start + pages;
+    }
+    Ok(())
+}
+
+/// Checks a captured image against every structural cap the decoder
 /// enforces, including the aggregate [`MAX_TOTAL_BYTES`] budget. Called
 /// by [`crate::image::capture`] so that a monitor whose legitimate
 /// running state outgrew the wire format (an undrained console past
@@ -222,62 +478,9 @@ pub(crate) fn validate_caps_with_budget(
     Ok(())
 }
 
-fn write_payload(w: &mut Writer, image: &MonitorImage) {
-    write_monitor_config(w, &image.config);
-    write_scheduler(w, &image.sched);
-    write_machine(w, &image.machine);
-    w.rle_pages(&image.memory, PAGE);
-    w.u32(image.vms.len() as u32);
-    for vm in &image.vms {
-        write_vm_config(w, &vm.config);
-        write_vm(w, &vm.vm);
-        write_shadow(w, &vm.shadow);
-    }
-}
-
-fn read_payload(r: &mut Reader<'_>, remaining: &mut u64) -> Result<MonitorImage, SnapshotError> {
-    let config = read_monitor_config(r)?;
-    let sched = read_scheduler(r)?;
-    let machine = read_machine(r, remaining)?;
-    let mem_pages = (config.mem_bytes / PAGE as u32) as usize;
-    charge(remaining, u64::from(config.mem_bytes))?;
-    let memory = r.rle_pages(mem_pages, PAGE, "memory image")?;
-    let vm_count = r.u32()?;
-    if vm_count > MAX_VMS {
-        return Err(SnapshotError::Invalid {
-            what: "VM count over format cap",
-        });
-    }
-    if let Some(current) = sched.current {
-        if current >= vm_count as usize {
-            return Err(SnapshotError::Invalid {
-                what: "current VM index out of range",
-            });
-        }
-    }
-    let mut vms = Vec::new();
-    for _ in 0..vm_count {
-        let vm_config = read_vm_config(r)?;
-        let vm = read_vm(r, &vm_config, remaining)?;
-        let shadow = read_shadow(r, &vm_config)?;
-        vms.push(VmImage {
-            config: vm_config,
-            vm,
-            shadow,
-        });
-    }
-    Ok(MonitorImage {
-        config,
-        sched,
-        machine,
-        memory,
-        vms,
-    })
-}
-
 // ---- monitor-level state ----
 
-pub(crate) fn write_monitor_config(w: &mut Writer, c: &MonitorConfig) {
+fn write_monitor_config(w: &mut Writer, c: &MonitorConfig) {
     w.u32(c.mem_bytes);
     w.u64(c.quantum);
     w.u64(c.wait_timeout);
@@ -303,7 +506,7 @@ pub(crate) fn write_monitor_config(w: &mut Writer, c: &MonitorConfig) {
     }
 }
 
-pub(crate) fn read_monitor_config(r: &mut Reader<'_>) -> Result<MonitorConfig, SnapshotError> {
+fn read_monitor_config(r: &mut Reader<'_>) -> Result<MonitorConfig, SnapshotError> {
     let mem_bytes = r.u32()?;
     if mem_bytes == 0 || mem_bytes % PAGE as u32 != 0 || mem_bytes > MAX_MEM_BYTES {
         return Err(SnapshotError::Invalid {
@@ -346,13 +549,13 @@ pub(crate) fn read_monitor_config(r: &mut Reader<'_>) -> Result<MonitorConfig, S
     })
 }
 
-pub(crate) fn write_scheduler(w: &mut Writer, s: &SchedulerState) {
+fn write_scheduler(w: &mut Writer, s: &SchedulerState) {
     w.opt_u32(s.current.map(|c| c as u32));
     w.u64(s.vmm_cycles);
     w.u64(s.world_switches);
 }
 
-pub(crate) fn read_scheduler(r: &mut Reader<'_>) -> Result<SchedulerState, SnapshotError> {
+fn read_scheduler(r: &mut Reader<'_>) -> Result<SchedulerState, SnapshotError> {
     Ok(SchedulerState {
         current: r.opt_u32("current VM")?.map(|c| c as usize),
         vmm_cycles: r.u64()?,
@@ -581,7 +784,7 @@ fn read_mmu(r: &mut Reader<'_>) -> Result<MmuState, SnapshotError> {
     })
 }
 
-pub(crate) fn write_machine(w: &mut Writer, m: &MachineState) {
+fn write_machine(w: &mut Writer, m: &MachineState) {
     for reg in m.regs {
         w.u32(reg);
     }
@@ -615,10 +818,7 @@ pub(crate) fn write_machine(w: &mut Writer, m: &MachineState) {
     w.bool(m.write_tracking);
 }
 
-pub(crate) fn read_machine(
-    r: &mut Reader<'_>,
-    remaining: &mut u64,
-) -> Result<MachineState, SnapshotError> {
+fn read_machine(r: &mut Reader<'_>, remaining: &mut u64) -> Result<MachineState, SnapshotError> {
     let mut regs = [0u32; 16];
     for reg in &mut regs {
         *reg = r.u32()?;
@@ -688,7 +888,7 @@ pub(crate) fn read_machine(
 
 // ---- per-VM state ----
 
-pub(crate) fn write_vm_config(w: &mut Writer, c: &VmConfig) {
+fn write_vm_config(w: &mut Writer, c: &VmConfig) {
     w.u32(c.mem_pages);
     w.u32(c.shadow.s_capacity);
     w.u32(c.shadow.p0_capacity);
@@ -706,7 +906,7 @@ pub(crate) fn write_vm_config(w: &mut Writer, c: &VmConfig) {
     w.u32(c.vdisk_sectors);
 }
 
-pub(crate) fn read_vm_config(r: &mut Reader<'_>) -> Result<VmConfig, SnapshotError> {
+fn read_vm_config(r: &mut Reader<'_>) -> Result<VmConfig, SnapshotError> {
     let mem_pages = r.u32()?;
     if mem_pages == 0 || mem_pages > MAX_MEM_BYTES / PAGE as u32 {
         return Err(SnapshotError::Invalid {
@@ -879,7 +1079,7 @@ fn read_vmm_error(r: &mut Reader<'_>) -> Result<VmmError, SnapshotError> {
     })
 }
 
-pub(crate) fn write_vm(w: &mut Writer, v: &Vm) {
+fn write_vm(w: &mut Writer, v: &Vm) {
     w.str(&v.name);
     w.u32(v.mem_base_pfn);
     w.u32(v.mem_pages);
@@ -915,11 +1115,7 @@ pub(crate) fn write_vm(w: &mut Writer, v: &Vm) {
     }
     let console_in: Vec<u8> = v.console_in.iter().copied().collect();
     w.blob(&console_in);
-    let mut disk = Vec::with_capacity(v.vdisk.len() * PAGE);
-    for sector in &v.vdisk {
-        disk.extend_from_slice(sector);
-    }
-    w.rle_pages(&disk, PAGE);
+    w.rle_pages(v.vdisk.iter().map(|sector| &sector[..]));
     match v.vdisk_pending {
         None => w.bool(false),
         Some((at, irq, status_gpa)) => {
@@ -981,7 +1177,7 @@ pub(crate) fn write_vm(w: &mut Writer, v: &Vm) {
     }
 }
 
-pub(crate) fn read_vm(
+fn read_vm(
     r: &mut Reader<'_>,
     config: &VmConfig,
     remaining: &mut u64,
@@ -1042,13 +1238,8 @@ pub(crate) fn read_vm(
     charge(remaining, console_in.len() as u64)?;
     let console_in: VecDeque<u8> = console_in.iter().copied().collect();
     charge(remaining, u64::from(config.vdisk_sectors) * PAGE as u64)?;
-    let disk = r.rle_pages(config.vdisk_sectors as usize, PAGE, "virtual disk image")?;
-    let mut vdisk = Vec::with_capacity(config.vdisk_sectors as usize);
-    for chunk in disk.chunks_exact(PAGE) {
-        let mut sector = [0u8; 512];
-        sector.copy_from_slice(chunk);
-        vdisk.push(sector);
-    }
+    let mut vdisk = vec![[0u8; PAGE]; config.vdisk_sectors as usize];
+    r.rle_pages(vdisk.as_flattened_mut(), true, "virtual disk image")?;
     let vdisk_pending = if r.bool("pending disk I/O presence")? {
         let at = r.u64()?;
         let irq = VirtualIrq {
@@ -1152,7 +1343,7 @@ pub(crate) fn read_vm(
     })
 }
 
-pub(crate) fn write_shadow(w: &mut Writer, s: &ShadowCacheState) {
+fn write_shadow(w: &mut Writer, s: &ShadowCacheState) {
     // Slot count is implied by the VM config's cache_slots.
     for key in &s.keys {
         w.opt_u32(*key);
@@ -1166,10 +1357,7 @@ pub(crate) fn write_shadow(w: &mut Writer, s: &ShadowCacheState) {
     w.u64(s.invalidations);
 }
 
-pub(crate) fn read_shadow(
-    r: &mut Reader<'_>,
-    config: &VmConfig,
-) -> Result<ShadowCacheState, SnapshotError> {
+fn read_shadow(r: &mut Reader<'_>, config: &VmConfig) -> Result<ShadowCacheState, SnapshotError> {
     let slots = config.shadow.cache_slots;
     let mut keys = Vec::new();
     for _ in 0..slots {
@@ -1202,33 +1390,12 @@ mod tests {
     use crate::image::capture;
     use vax_vmm::Monitor;
 
-    fn captured() -> (MonitorImage, Vec<u8>) {
+    #[test]
+    fn capture_validation_mirrors_the_decode_budget() {
         let mut m = Monitor::new(MonitorConfig::default());
         m.create_vm("a", VmConfig::default());
         m.create_vm("b", VmConfig::default());
-        let image = capture(&m, true).expect("capture");
-        let bytes = encode(&image);
-        (image, bytes)
-    }
-
-    #[test]
-    fn decode_enforces_an_aggregate_materialization_budget() {
-        let (image, bytes) = captured();
-        assert!(decode_with_budget(&bytes, MAX_TOTAL_BYTES).is_ok());
-        // Every field here is within its individual cap; only the
-        // running total trips. Memory alone consumes this budget, so
-        // the first vdisk charge goes over.
-        let err = decode_with_budget(&bytes, u64::from(image.config.mem_bytes))
-            .expect_err("aggregate over budget");
-        assert_eq!(err.what(), "image over decode size budget");
-        // A budget below even the memory image fails on the memory
-        // charge, before its allocation.
-        assert!(decode_with_budget(&bytes, 1024).is_err());
-    }
-
-    #[test]
-    fn capture_validation_mirrors_the_decode_budget() {
-        let (image, _) = captured();
+        let image = capture(&m).expect("capture");
         assert!(validate_caps(&image).is_ok());
         let err = validate_caps_with_budget(&image, u64::from(image.config.mem_bytes))
             .expect_err("over budget");

@@ -15,11 +15,10 @@
 //! and shadow bookkeeping are overwritten in place.
 //!
 //! Restore and copy-on-write fork share this one path and differ only in
-//! where the memory comes from ([`MemSource`]): a restore adopts the
-//! decoded memory image without copying it, and a fork hands over a
-//! [`PhysMemory`] forked from the parent, sharing every page. Neither
-//! allocates a memory only to throw it away, and a forked child's
-//! rebuild writes none of its shared pages.
+//! the [`PhysMemory`] they hand over: a restore passes the memory its
+//! images were decoded into, and a fork passes a fork of the parent's,
+//! sharing every page. Neither allocates a memory only to throw it
+//! away, and a forked child's rebuild writes none of its shared pages.
 
 use crate::error::SnapshotError;
 use vax_cpu::MachineState;
@@ -37,8 +36,10 @@ pub struct VmImage {
     pub shadow: ShadowCacheState,
 }
 
-/// A captured monitor: the plain-data form between a live [`Monitor`]
-/// and the wire format.
+/// A captured monitor minus its memory: the plain-data form between a
+/// live [`Monitor`] and the wire format. Memory never passes through
+/// it — the encoder reads pages from the machine's [`PhysMemory`] and
+/// the decoder writes them into the memory being restored.
 #[derive(Debug, Clone)]
 pub struct MonitorImage {
     /// Monitor-wide configuration, replayed through [`Monitor::new`].
@@ -47,20 +48,8 @@ pub struct MonitorImage {
     pub sched: SchedulerState,
     /// Complete machine state (registers, MMU, TLB, console, timer).
     pub machine: MachineState,
-    /// Full physical memory image. Empty when the image feeds a
-    /// copy-on-write fork, where memory crosses as a shared mapping
-    /// instead of bytes.
-    pub memory: Vec<u8>,
     /// Per-VM state, in creation order.
     pub vms: Vec<VmImage>,
-}
-
-/// Where a rebuilt monitor's physical memory comes from.
-pub enum MemSource {
-    /// The serialized image in [`MonitorImage::memory`].
-    Image,
-    /// A copy-on-write fork of a live machine's memory.
-    Forked(PhysMemory),
 }
 
 /// Captures a monitor into its plain-data image.
@@ -76,10 +65,10 @@ pub enum MemSource {
 /// extracted), or if the monitor's state exceeds a structural cap of
 /// the wire format (an undrained console or `vmm_log` past its cap,
 /// memory over the format's 1 GiB limit, aggregate state over the
-/// global size budget). Capture enforces every cap [`crate::format::decode`]
-/// checks, so an image this function produces is always restorable —
-/// oversize state fails here, not at restore.
-pub fn capture(monitor: &Monitor, with_memory: bool) -> Result<MonitorImage, SnapshotError> {
+/// global size budget). Capture enforces every cap the decoder checks,
+/// so an image this function produces is always restorable — oversize
+/// state fails here, not at restore.
+pub fn capture(monitor: &Monitor) -> Result<MonitorImage, SnapshotError> {
     let mut vms = Vec::new();
     for id in monitor.vm_ids() {
         let vm = monitor.vm(id);
@@ -101,31 +90,21 @@ pub fn capture(monitor: &Monitor, with_memory: bool) -> Result<MonitorImage, Sna
             shadow: shadow.export_cache_state(),
         });
     }
-    let memory = if with_memory {
-        let mem = monitor.machine().mem();
-        mem.read_slice(0, mem.size())
-            .map_err(|_| SnapshotError::Invalid {
-                what: "machine memory unreadable",
-            })?
-            .into_owned()
-    } else {
-        Vec::new()
-    };
     let image = MonitorImage {
         config: monitor.config().clone(),
         sched: monitor.scheduler_state(),
         machine: monitor.machine().export_state(),
-        memory,
         vms,
     };
     crate::format::validate_caps(&image)?;
     Ok(image)
 }
 
-/// Rebuilds a live monitor from an image.
+/// Rebuilds a live monitor from an image over `mem`, the memory it will
+/// run on.
 ///
-/// For images that came through [`crate::format::decode`], validation
-/// has already run and this cannot panic; the residual checks here
+/// For images that came through the decoder, validation has already
+/// run and this cannot panic; the residual checks here
 /// (memory size, admission, frame-layout reproduction) guard images
 /// built in process against monitors whose configuration cannot host
 /// them.
@@ -136,17 +115,13 @@ pub fn capture(monitor: &Monitor, with_memory: bool) -> Result<MonitorImage, Sna
 /// configured size, when the VMs do not fit in the configured machine
 /// memory, or when reconstruction derives a different frame layout than
 /// the image records.
-pub fn rebuild(mut image: MonitorImage, mem: MemSource) -> Result<Monitor, SnapshotError> {
-    let mem = match mem {
-        MemSource::Image => PhysMemory::from_vec(std::mem::take(&mut image.memory)),
-        MemSource::Forked(forked) => Some(forked),
-    };
+pub fn rebuild(image: MonitorImage, mem: PhysMemory) -> Result<Monitor, SnapshotError> {
     let configured = u64::from(image.config.mem_bytes).div_ceil(512) * 512;
-    let Some(mem) = mem.filter(|m| u64::from(m.size()) == configured) else {
+    if u64::from(mem.size()) != configured {
         return Err(SnapshotError::Invalid {
             what: "memory size disagrees with configuration",
         });
-    };
+    }
     let mut monitor = Monitor::with_mem(image.config, mem);
     // Replay every VM's creation. This re-runs the deterministic frame
     // allocation sequence, so the layout matches the snapshotted monitor

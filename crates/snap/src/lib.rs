@@ -20,8 +20,12 @@
 //! The format is hand-rolled little-endian with explicit bounds checks
 //! (no serde, no unsafe): a `VAXSNAP1` magic, a version word, a length,
 //! an FNV-1a-64 checksum, and zero-page run-length encoding for memory
-//! and disks. Every malformed input surfaces as a [`SnapshotError`]
-//! (convertible to `VmmError::Snapshot`), never a panic.
+//! and disks. There is one encoding: every image is a delta against a
+//! parent named by digest, and a full snapshot is the delta against
+//! all-zero memory, so incremental chains (DESIGN.md §16) and full
+//! images share one writer and one reader. Every malformed input
+//! surfaces as a [`SnapshotError`] (convertible to
+//! `VmmError::Snapshot`), never a panic.
 //!
 //! # Example
 //!
@@ -35,21 +39,31 @@
 //! assert_eq!(restored.vm_count(), 1);
 //! ```
 
-pub mod delta;
 pub mod error;
 pub mod format;
 pub mod image;
 pub mod wire;
 
-pub use delta::{
-    decode_delta, encode_delta, restore_chain, snapshot_chain_base, snapshot_delta,
-    snapshot_digest, DeltaExtent, DeltaImage, DELTA_MAGIC, DELTA_VERSION,
-};
-pub use error::SnapshotError;
-pub use format::{decode, encode, MAGIC, VERSION};
-pub use image::{capture, rebuild, MemSource, MonitorImage, VmImage};
+#[cfg(test)]
+mod hostile;
 
+pub use error::SnapshotError;
+pub use format::{MAGIC, VERSION};
+pub use image::{capture, rebuild, MonitorImage, VmImage};
+
+use vax_mem::PhysMemory;
 use vax_vmm::Monitor;
+use wire::fnv1a64;
+
+/// The digest images are linked by: FNV-1a 64 over the complete bytes
+/// (header, payload and checksum) of a snapshot. Feed it the bytes
+/// [`snapshot_monitor`], [`snapshot_chain_base`] or [`snapshot_delta`]
+/// returned to name that image as the parent of the next delta. The
+/// digest of no bytes names all-zero memory, the parent of every full
+/// snapshot.
+pub fn snapshot_digest(bytes: &[u8]) -> u64 {
+    fnv1a64(bytes)
+}
 
 /// Serializes a quiescent monitor into a snapshot image.
 ///
@@ -62,10 +76,24 @@ use vax_vmm::Monitor;
 /// device state cannot be extracted) or the monitor's state exceeds a
 /// structural cap of the wire format — capture enforces every cap the
 /// decoder does, so a snapshot this function returns is always
-/// restorable; [`SnapshotError::Invalid`] if the machine memory is
-/// unreadable (a VMM bug).
+/// restorable; [`SnapshotError::Invalid`] if the machine memory is not
+/// its configured size (a VMM bug).
 pub fn snapshot_monitor(monitor: &Monitor) -> Result<Vec<u8>, SnapshotError> {
-    Ok(encode(&capture(monitor, true)?))
+    encode_full(&capture(monitor)?, monitor.machine().mem())
+}
+
+/// Encodes `image`, captured from a monitor whose memory is `mem`, as a
+/// full snapshot: the delta against all-zero memory that carries every
+/// page. [`snapshot_monitor`] is this over a fresh [`capture`]; a caller
+/// that keeps its capture (a fork source) gets the same bytes without
+/// capturing twice.
+///
+/// # Errors
+///
+/// [`SnapshotError::Invalid`] if `mem` is not the image's configured
+/// memory size.
+pub fn encode_full(image: &MonitorImage, mem: &PhysMemory) -> Result<Vec<u8>, SnapshotError> {
+    format::encode(image, snapshot_digest(&[]), mem, 0..mem.pages())
 }
 
 /// Reconstructs a monitor from a snapshot image.
@@ -84,17 +112,92 @@ pub fn snapshot_monitor(monitor: &Monitor) -> Result<Vec<u8>, SnapshotError> {
 ///
 /// Any [`SnapshotError`] the validation pipeline detects.
 pub fn restore_monitor(bytes: &[u8]) -> Result<Monitor, SnapshotError> {
-    rebuild(decode(bytes)?, MemSource::Image)
+    restore_chain::<&[u8]>(bytes, &[])
 }
 
-/// Forks one copy-on-write child of `parent` from `image`, a
-/// memory-less image captured from `parent` at its current quiescent
-/// point ([`capture`] with `with_memory = false`; the parent must not
-/// have run since).
+/// Captures a full snapshot to anchor a delta chain: identical bytes to
+/// [`snapshot_monitor`], but also *drains* the dirty-page set, so the
+/// first [`snapshot_delta`] carries only pages written after this
+/// capture rather than everything written since tracking was enabled.
+/// Requires write tracking for the same reason `snapshot_delta` does.
+///
+/// # Errors
+///
+/// The conditions of [`snapshot_delta`]. The dirty set is not drained
+/// on error.
+pub fn snapshot_chain_base(monitor: &mut Monitor) -> Result<Vec<u8>, SnapshotError> {
+    if !monitor.machine().mem().write_tracking_enabled() {
+        return Err(SnapshotError::Unsupported {
+            what: "delta snapshot requires write tracking",
+        });
+    }
+    let bytes = snapshot_monitor(monitor)?;
+    let _ = monitor.machine_mut().mem_mut().take_dirty_pages();
+    Ok(bytes)
+}
+
+/// Serializes the pages written since the previous chain link, plus the
+/// complete non-memory monitor state, into a delta image —
+/// `O(dirty pages)`, not `O(memory)`.
+///
+/// `parent_digest` is [`snapshot_digest`] of the predecessor's bytes:
+/// the base snapshot for the first delta, the previous delta after that.
+/// The call *drains* the machine's dirty-page set, so the next delta
+/// picks up exactly where this one left off. The chain contract: write
+/// tracking must already be enabled when the base snapshot is taken
+/// (enable it, snapshot, run, delta, run, delta, …); a page written
+/// before tracking was enabled but after the base would silently go
+/// missing, which is why this function refuses to run without tracking.
+///
+/// # Errors
+///
+/// [`SnapshotError::Unsupported`] if write tracking is off (an empty
+/// delta would be produced no matter what the guest wrote — an error,
+/// not silent data loss) or capture hits a structural cap; the
+/// conditions of [`snapshot_monitor`] otherwise. The dirty set is not
+/// drained on error.
+pub fn snapshot_delta(monitor: &mut Monitor, parent_digest: u64) -> Result<Vec<u8>, SnapshotError> {
+    if !monitor.machine().mem().write_tracking_enabled() {
+        return Err(SnapshotError::Unsupported {
+            what: "delta snapshot requires write tracking",
+        });
+    }
+    let image = capture(monitor)?;
+    let dirty = monitor.machine_mut().mem_mut().take_dirty_pages();
+    format::encode(&image, parent_digest, monitor.machine().mem(), dirty)
+}
+
+/// Reconstructs a monitor from a base snapshot plus an ordered chain of
+/// deltas, decoding every image straight into the one memory the
+/// monitor then runs on.
+///
+/// Digest linkage is enforced image by image: the base must be a full
+/// snapshot (its parent is all-zero memory) and delta `i` must record
+/// the digest of the exact bytes of image `i-1`, so a wrong base, an
+/// out-of-order chain, or a corrupted link fails before any monitor is
+/// built. The result re-snapshots byte-equal to a full snapshot of the
+/// source monitor at the final delta's capture point — the bit-identity
+/// oracle the delta-chain fuzzer enforces on all three execution tiers.
+///
+/// # Errors
+///
+/// Any [`SnapshotError`] from decoding an image;
+/// `SnapshotError::Invalid` with `"delta chain digest mismatch"` when
+/// linkage fails, or `"image is a delta, not a full snapshot"` when the
+/// base is a delta.
+pub fn restore_chain<D: AsRef<[u8]>>(base: &[u8], deltas: &[D]) -> Result<Monitor, SnapshotError> {
+    let (image, memory) = format::decode_chain(base, deltas, format::MAX_TOTAL_BYTES)?;
+    rebuild(image, memory)
+}
+
+/// Forks one copy-on-write child from `image`, captured from a parent
+/// monitor at a quiescent point, and `parent`, that monitor's memory
+/// (the parent must not have run since; a fork of its memory serves as
+/// well as the memory itself).
 ///
 /// The child is a complete, independent monitor built directly over a
-/// [`vax_mem::PhysMemory::fork`] of the parent's memory, sharing every
-/// page until one side writes it. Cost: one word per page of machine
+/// [`PhysMemory::fork`] of the parent's memory, sharing every page
+/// until one side writes it. Cost: one word per page of machine
 /// memory for the child's page table, a fresh CPU (its decoded-
 /// instruction cache starts cold), and a clone of the image's non-memory
 /// state — no memory contents are copied or zeroed; a page is copied
@@ -107,9 +210,8 @@ pub fn restore_monitor(bytes: &[u8]) -> Result<Monitor, SnapshotError> {
 ///
 /// [`SnapshotError::Invalid`] if the image does not describe the
 /// parent's memory and frame layout.
-pub fn fork_child(image: &MonitorImage, parent: &mut Monitor) -> Result<Monitor, SnapshotError> {
-    let mem = parent.machine_mut().fork_mem();
-    rebuild(image.clone(), MemSource::Forked(mem))
+pub fn fork_child(image: &MonitorImage, parent: &mut PhysMemory) -> Result<Monitor, SnapshotError> {
+    rebuild(image.clone(), parent.fork())
 }
 
 /// Forks a quiescent monitor into `n` copy-on-write children: one
@@ -122,6 +224,43 @@ pub fn fork_child(image: &MonitorImage, parent: &mut Monitor) -> Result<Monitor,
 /// Same conditions as [`snapshot_monitor`]; the parent is unchanged on
 /// error.
 pub fn fork_monitor(parent: &mut Monitor, n: usize) -> Result<Vec<Monitor>, SnapshotError> {
-    let image = capture(parent, false)?;
-    (0..n).map(|_| fork_child(&image, parent)).collect()
+    let image = capture(parent)?;
+    let mem = parent.machine_mut().mem_mut();
+    (0..n).map(|_| fork_child(&image, mem)).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vax_vmm::{MonitorConfig, VmConfig};
+
+    #[test]
+    fn delta_requires_write_tracking() {
+        let mut m = Monitor::new(MonitorConfig::default());
+        m.create_vm("guest", VmConfig::default());
+        let err = snapshot_delta(&mut m, 0).expect_err("tracking off");
+        assert_eq!(err.what(), "delta snapshot requires write tracking");
+    }
+
+    #[test]
+    fn empty_delta_round_trips_and_chains() {
+        let mut m = Monitor::new(MonitorConfig::default());
+        m.enable_dirty_tracking();
+        m.create_vm("guest", VmConfig::default());
+        let base = snapshot_monitor(&m).expect("base");
+        // Quiescent monitor: the delta may still carry pages create_vm
+        // wrote before the base; drain those first for a truly empty one.
+        let _ = snapshot_delta(&mut m, snapshot_digest(&base)).expect("drain");
+        let d = snapshot_delta(&mut m, snapshot_digest(&base)).expect("delta");
+        // The extent count, last before the checksum, is zero.
+        assert_eq!(d[d.len() - 12..d.len() - 8], [0; 4], "no extents");
+        assert!(
+            d.len() * 10 < base.len(),
+            "empty delta ({}) must be far smaller than base ({})",
+            d.len(),
+            base.len()
+        );
+        let restored = restore_chain(&base, &[d]).expect("chain");
+        assert!(restored.machine().mem().write_tracking_enabled());
+    }
 }

@@ -10,6 +10,13 @@
 
 use crate::error::SnapshotError;
 
+/// Bytes per page: the unit of the run-length coding, of machine memory
+/// and of a virtual-disk sector.
+pub const PAGE: usize = 512;
+
+/// The page every zero-run test compares against.
+static ZERO_PAGE: [u8; PAGE] = [0; PAGE];
+
 /// 64-bit FNV-1a over `bytes` — small, dependency-free, and stable
 /// across platforms, which is all a corruption check needs (this is an
 /// integrity checksum, not an authenticity MAC).
@@ -108,30 +115,54 @@ impl Writer {
         }
     }
 
-    /// Page-granular zero-run-length coding: `data` (whose length must be
-    /// a multiple of `page`) becomes alternating runs of
+    /// Reserves a little-endian u32 to be filled in by
+    /// [`Writer::patch_u32`] once its value is known; returns its offset.
+    pub fn u32_placeholder(&mut self) -> usize {
+        let at = self.buf.len();
+        self.u32(0);
+        at
+    }
+
+    /// Overwrites the u32 reserved at `at`.
+    pub fn patch_u32(&mut self, at: usize, v: u32) {
+        self.buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Page-granular zero-run-length coding of `pages`, each [`PAGE`]
+    /// bytes: a page count, then alternating runs of
     /// `(tag, page_count[, literal bytes])` where tag 0 is an all-zero
-    /// run and tag 1 carries the pages verbatim. Guest images are mostly
-    /// zero pages, so this is the entire compression story.
-    pub fn rle_pages(&mut self, data: &[u8], page: usize) {
-        debug_assert_eq!(data.len() % page, 0);
-        let total = data.len() / page;
-        self.u32(total as u32);
-        let is_zero = |p: usize| data[p * page..(p + 1) * page].iter().all(|&b| b == 0);
-        let mut p = 0;
-        while p < total {
-            let zero = is_zero(p);
-            let mut end = p + 1;
-            while end < total && is_zero(end) == zero {
-                end += 1;
+    /// run and tag 1 carries the pages verbatim. Pages are taken one at a
+    /// time and each is compared with the zero page once, so nothing is
+    /// staged; a run's page count is patched in when the run ends. Guest
+    /// images are mostly zero pages, so this is the entire compression
+    /// story.
+    pub fn rle_pages<'p>(&mut self, pages: impl IntoIterator<Item = &'p [u8]>) {
+        let total_at = self.u32_placeholder();
+        let mut total = 0u32;
+        // The open run: its tag, the offset of its page count, its length.
+        let mut run: Option<(bool, usize, u32)> = None;
+        for page in pages {
+            debug_assert_eq!(page.len(), PAGE);
+            let zero = page == ZERO_PAGE;
+            match &mut run {
+                Some((tag, _, n)) if *tag == zero => *n += 1,
+                _ => {
+                    if let Some((_, at, n)) = run {
+                        self.patch_u32(at, n);
+                    }
+                    self.bool(!zero);
+                    run = Some((zero, self.u32_placeholder(), 1));
+                }
             }
-            self.u8(u8::from(!zero));
-            self.u32((end - p) as u32);
             if !zero {
-                self.bytes(&data[p * page..end * page]);
+                self.bytes(page);
             }
-            p = end;
+            total += 1;
         }
+        if let Some((_, at, n)) = run {
+            self.patch_u32(at, n);
+        }
+        self.patch_u32(total_at, total);
     }
 }
 
@@ -246,36 +277,34 @@ impl<'a> Reader<'a> {
         })
     }
 
-    /// Decodes a [`Writer::rle_pages`] stream whose decoded size must be
-    /// exactly `expect_pages * page` bytes. Run counts are validated
-    /// against the expected total before any copy, bounding the
-    /// allocation by the caller's expectation rather than the image's
-    /// claims.
+    /// Decodes a [`Writer::rle_pages`] stream into `dst`, whose length
+    /// the stream's page count must match exactly.
     pub fn rle_pages(
         &mut self,
-        expect_pages: usize,
-        page: usize,
+        dst: &mut [u8],
+        zeroed: bool,
         what: &'static str,
-    ) -> Result<Vec<u8>, SnapshotError> {
-        let total = self.u32()? as usize;
-        if total != expect_pages {
+    ) -> Result<(), SnapshotError> {
+        if self.u32()? as usize != dst.len() / PAGE {
             return Err(SnapshotError::Invalid { what });
         }
-        self.rle_body(total, page, what)
+        self.rle_body(dst, zeroed, what)
     }
 
-    /// The run-coded body of an RLE stream whose page count (`total`) the
-    /// caller has already read and validated — the delta decoder's path,
-    /// where extent sizes come from the stream itself and must be checked
-    /// against caps and the materialization budget *before* this
-    /// allocates `total * page` bytes.
+    /// The run-coded body of an RLE stream whose page count the caller
+    /// has already read, validated and sized `dst` by (a memory extent's
+    /// count comes from the stream and is checked against the memory
+    /// first). Runs are checked against what is left of `dst` before
+    /// any byte is written. `zeroed` says `dst` is already all zero, so
+    /// zero runs need no writes — a fresh memory then stays untouched,
+    /// and unfaulted, outside its literal pages.
     pub fn rle_body(
         &mut self,
-        total: usize,
-        page: usize,
+        dst: &mut [u8],
+        zeroed: bool,
         what: &'static str,
-    ) -> Result<Vec<u8>, SnapshotError> {
-        let mut out = vec![0u8; total * page];
+    ) -> Result<(), SnapshotError> {
+        let total = dst.len() / PAGE;
         let mut p = 0usize;
         while p < total {
             let literal = match self.u8()? {
@@ -287,13 +316,15 @@ impl<'a> Reader<'a> {
             if run == 0 || run > total - p {
                 return Err(SnapshotError::Invalid { what });
             }
+            let out = &mut dst[p * PAGE..(p + run) * PAGE];
             if literal {
-                let bytes = self.take(run * page)?;
-                out[p * page..(p + run) * page].copy_from_slice(bytes);
+                out.copy_from_slice(self.take(run * PAGE)?);
+            } else if !zeroed {
+                out.fill(0);
             }
             p += run;
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -347,25 +378,37 @@ mod tests {
         assert_eq!(r.blob(), Err(SnapshotError::Truncated));
     }
 
+    /// Writes `data` (a whole number of pages) through the page writer.
+    fn rle(data: &[u8]) -> Writer {
+        let mut w = Writer::new();
+        w.rle_pages(data.chunks_exact(PAGE));
+        w
+    }
+
     #[test]
     fn rle_round_trips_sparse_and_dense_data() {
-        const PAGE: usize = 8;
+        const LEN: usize = 8 * PAGE;
         for data in [
-            vec![0u8; 64],
+            vec![0u8; LEN],
             {
-                let mut d = vec![0u8; 64];
+                let mut d = vec![0u8; LEN];
                 d[17] = 3;
-                d[40..48].fill(0xff);
+                d[5 * PAGE..6 * PAGE].fill(0xff);
                 d
             },
-            (0..64u8).collect::<Vec<u8>>(),
+            (0..LEN).map(|i| i as u8).collect::<Vec<u8>>(),
         ] {
-            let mut w = Writer::new();
-            w.rle_pages(&data, PAGE);
-            let bytes = w.into_bytes();
+            let bytes = rle(&data).into_bytes();
             let mut r = Reader::new(&bytes);
-            assert_eq!(r.rle_pages(8, PAGE, "m").unwrap(), data);
+            let mut out = vec![0u8; LEN];
+            r.rle_pages(&mut out, true, "m").unwrap();
+            assert_eq!(out, data);
             assert!(r.is_empty());
+            // Over stale contents, zero runs are written too.
+            let mut r = Reader::new(&bytes);
+            let mut out = vec![0x77u8; LEN];
+            r.rle_pages(&mut out, false, "m").unwrap();
+            assert_eq!(out, data);
         }
     }
 
@@ -373,8 +416,7 @@ mod tests {
     fn rle_zero_dominant_image_is_small() {
         let mut data = vec![0u8; 512 * 1024];
         data[0] = 1;
-        let mut w = Writer::new();
-        w.rle_pages(&data, 512);
+        let w = rle(&data);
         assert!(
             w.len() < 600,
             "1 literal page + run headers, got {}",
@@ -384,7 +426,6 @@ mod tests {
 
     #[test]
     fn rle_rejects_run_overflow_and_wrong_total() {
-        const PAGE: usize = 8;
         let mut w = Writer::new();
         w.u32(4); // 4 pages
         w.u8(0);
@@ -392,15 +433,13 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert!(matches!(
-            r.rle_pages(4, PAGE, "m"),
+            r.rle_pages(&mut [0u8; 4 * PAGE], true, "m"),
             Err(SnapshotError::Invalid { .. })
         ));
-        let mut w = Writer::new();
-        w.rle_pages(&[0u8; 32], PAGE);
-        let bytes = w.into_bytes();
+        let bytes = rle(&[0u8; 4 * PAGE]).into_bytes();
         let mut r = Reader::new(&bytes);
         assert!(matches!(
-            r.rle_pages(5, PAGE, "m"),
+            r.rle_pages(&mut [0u8; 5 * PAGE], true, "m"),
             Err(SnapshotError::Invalid { .. })
         ));
     }

@@ -4,13 +4,12 @@
 //! resumed produces **bit-identical** state — cycles, counters, TLB,
 //! console bytes, halt reasons — to the monitor that was never
 //! interrupted, given the same [`Monitor::run`] call boundaries. The
-//! secondary property: a snapshot image is untrusted input, and no
-//! corruption of it may panic the restorer.
+//! secondary property — a snapshot image is untrusted input, and no
+//! corruption of it may panic the restorer — is the hostile-input table
+//! in `src/hostile.rs`, which needs the decoder's budget seam.
 
 use vax_os::{boot_in_monitor, build_image, OsConfig, Workload};
-use vax_snap::{
-    capture, fork_monitor, rebuild, restore_monitor, snapshot_monitor, MemSource, SnapshotError,
-};
+use vax_snap::{capture, fork_monitor, rebuild, restore_monitor, snapshot_monitor, SnapshotError};
 use vax_vmm::{Fleet, IoStrategy, Monitor, MonitorConfig, RunExit, VmConfig, VmmError};
 
 /// A monitor running a real guest OS: timer interrupts, CHM syscalls,
@@ -78,66 +77,6 @@ fn snapshot_bytes_are_deterministic_and_round_trip() {
     // restore(snapshot(m)) captures back to the identical image.
     let restored = restore_monitor(&a).expect("restore");
     assert_eq!(snapshot_monitor(&restored).expect("re-snapshot"), a);
-}
-
-#[test]
-fn every_corruption_is_an_error_never_a_panic() {
-    let mut monitor = os_monitor();
-    monitor.run(PARTIAL);
-    let bytes = snapshot_monitor(&monitor).expect("snapshot");
-
-    // Truncation at every prefix length (sampled for speed).
-    for len in (0..bytes.len()).step_by(13) {
-        assert!(
-            restore_monitor(&bytes[..len]).is_err(),
-            "truncation to {len} bytes must fail"
-        );
-    }
-    // Single-byte corruption anywhere (sampled). Everything after the
-    // header is covered by the checksum; header damage has its own
-    // errors.
-    for pos in (0..bytes.len()).step_by(37) {
-        let mut bad = bytes.clone();
-        bad[pos] ^= 0x5a;
-        assert!(
-            restore_monitor(&bad).is_err(),
-            "bit flip at {pos} must fail"
-        );
-    }
-    let mut flipped = bytes.clone();
-    let last = flipped.len() - 9; // inside the payload, not the checksum
-    flipped[last] ^= 1;
-    assert!(matches!(
-        restore_monitor(&flipped),
-        Err(SnapshotError::Checksum { .. })
-    ));
-}
-
-#[test]
-fn header_tampering_is_diagnosed_precisely() {
-    let monitor = os_monitor();
-    let bytes = snapshot_monitor(&monitor).expect("snapshot");
-
-    let mut wrong_magic = bytes.clone();
-    wrong_magic[0] = b'X';
-    assert!(matches!(
-        restore_monitor(&wrong_magic),
-        Err(SnapshotError::BadMagic)
-    ));
-
-    let mut wrong_version = bytes.clone();
-    wrong_version[8] = 99;
-    assert!(matches!(
-        restore_monitor(&wrong_version),
-        Err(SnapshotError::UnsupportedVersion { found: 99 })
-    ));
-
-    let mut padded = bytes.clone();
-    padded.push(0);
-    assert!(matches!(
-        restore_monitor(&padded),
-        Err(SnapshotError::TrailingBytes)
-    ));
 }
 
 #[test]
@@ -261,12 +200,12 @@ fn oversize_vm_name_fails_at_snapshot() {
 #[test]
 fn rebuild_applies_admission_control() {
     let monitor = os_monitor();
-    let mut image = capture(&monitor, true).expect("capture");
+    let mut image = capture(&monitor).expect("capture");
     // A VM bigger than the whole machine cannot be admitted; the
     // restorer must refuse rather than let the frame allocator panic.
     image.vms[0].config.mem_pages = monitor.machine().mem().pages() + 1;
     image.vms[0].vm.mem_pages = monitor.machine().mem().pages() + 1;
-    match rebuild(image, MemSource::Image) {
+    match rebuild(image, monitor.machine().mem().clone()) {
         Err(e) => assert_eq!(e.what(), "VMs do not fit in machine memory"),
         Ok(_) => panic!("oversize VM must be refused"),
     }

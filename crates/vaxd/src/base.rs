@@ -3,23 +3,27 @@
 //! A [`WarmBase`] is created once at daemon startup — either by booting
 //! a MiniVMS guest to its orderly halt, or by restoring a `VAXSNAP1`
 //! snapshot — and then serves as the copy-on-write fork source for
-//! every request naming it. Construction captures two artifacts from
-//! the same quiescent point:
+//! every request naming it. Construction captures the parent once and
+//! keeps two artifacts of that one capture:
 //!
-//! * a memory-less [`MonitorImage`] plus the live parent monitor, the
-//!   pair [`WarmBase::fork_child`] hands to [`vax_snap::fork_child`] —
-//!   `fork_monitor` amortized: capture once, fork many. A fork copies
-//!   no memory: it costs one word per page plus a fresh CPU, and the
-//!   child then pays 512 bytes per page it writes;
-//! * the full snapshot bytes, which make [`WarmBase::run_standalone`]
-//!   an *independent* oracle — a restored-from-bytes monitor running
-//!   the same payload must produce bit-identical console output to any
-//!   forked child, which is the serving determinism contract the tests
-//!   and the bench assert.
+//! * the [`MonitorImage`] plus the parent's memory, frozen into the
+//!   copy-on-write base, the pair [`WarmBase::fork_child`] hands to
+//!   [`vax_snap::fork_child`] — `fork_monitor` amortized: capture once,
+//!   fork many. The parent monitor itself is dropped: a fork needs its
+//!   memory, not its CPU caches. A fork copies no memory: it costs one
+//!   word per page plus a fresh CPU, and the child then pays 512 bytes
+//!   per page it writes;
+//! * the full snapshot bytes, encoded from the image and the parent's
+//!   memory, which make [`WarmBase::run_standalone`] an *independent*
+//!   oracle — a restored-from-bytes monitor running the same payload
+//!   must produce bit-identical console output to any forked child,
+//!   which is the serving determinism contract the tests and the bench
+//!   assert.
 
 use crate::payload::PAYLOAD_GPA;
 use crate::proto::{RequestError, RunStatus};
-use vax_snap::{capture, restore_monitor, snapshot_monitor, MonitorImage, SnapshotError};
+use vax_mem::PhysMemory;
+use vax_snap::{capture, encode_full, restore_monitor, MonitorImage, SnapshotError};
 use vax_vmm::{Monitor, MonitorConfig, RunExit, VmConfig};
 
 /// Why a warm base could not be constructed.
@@ -72,14 +76,14 @@ pub struct RunOutput {
 /// A warm booted base image ready to be forked per request.
 pub struct WarmBase {
     name: String,
-    /// Fork skeleton: everything but memory.
+    /// Fork skeleton: everything but memory, which a fork shares.
     image: MonitorImage,
     /// Full snapshot from the same quiescent point (standalone oracle,
     /// persistence).
     snapshot: Vec<u8>,
-    /// The live parent — the copy-on-write memory source. Never run
-    /// again after construction.
-    parent: Monitor,
+    /// The parent's memory, frozen into the copy-on-write base every
+    /// child forks; never written.
+    mem: PhysMemory,
     /// Real frames one forked child's VM set admits
     /// ([`Monitor::admission_frames`] summed over the base's VMs) —
     /// the per-request cost charged against tenant frame quotas.
@@ -112,24 +116,23 @@ impl WarmBase {
             let _ = monitor.vm_console_output(id);
             monitor.vm_mut(id).vmm_log.clear();
         }
-        let snapshot = snapshot_monitor(&monitor)?;
-        let image = capture(&monitor, false)?;
+        let image = capture(&monitor)?;
+        let snapshot = encode_full(&image, monitor.machine().mem())?;
         let frame_cost: u64 = image
             .vms
             .iter()
             .map(|v| Monitor::admission_frames(&v.config))
             .sum();
         let vm0_mem_bytes = u64::from(image.vms[0].config.mem_pages) * 512;
-        // Freeze the copy-on-write base now so the Arc ref-count
-        // baseline the hygiene tests assert on is established before
-        // the first request.
-        let mut parent = monitor;
-        drop(parent.machine_mut().fork_mem());
+        // Freeze the copy-on-write base now, keeping one fork of it as
+        // the fork source, so the Arc ref-count baseline the hygiene
+        // tests assert on is established before the first request.
+        let mem = monitor.machine_mut().fork_mem();
         Ok(WarmBase {
             name: name.to_string(),
             image,
             snapshot,
-            parent,
+            mem,
             frame_cost,
             vm0_mem_bytes,
         })
@@ -198,8 +201,8 @@ impl WarmBase {
     /// The parent's physical memory — the hygiene seam: after every
     /// child is reaped, `base_ref_count()` must be back to `Some(1)`
     /// and `resident_pages()` still 0 (the parent is never written).
-    pub fn parent_mem(&self) -> &vax_mem::PhysMemory {
-        self.parent.machine().mem()
+    pub fn parent_mem(&self) -> &PhysMemory {
+        &self.mem
     }
 
     /// Forks one copy-on-write child with [`vax_snap::fork_child`]: the
@@ -211,7 +214,7 @@ impl WarmBase {
     /// [`SnapshotError`] if reconstruction fails (cannot happen for an
     /// image captured by this base unless memory sizes diverge — a bug).
     pub fn fork_child(&mut self) -> Result<Monitor, SnapshotError> {
-        vax_snap::fork_child(&self.image, &mut self.parent)
+        vax_snap::fork_child(&self.image, &mut self.mem)
     }
 
     /// Runs `payload` on a monitor restored from the base's snapshot

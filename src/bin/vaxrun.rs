@@ -18,6 +18,7 @@
 //!                                   # run part way, save the monitor
 //! $ vaxrun --restore s.vaxsnap      # resume it (no source needed);
 //!                                   # bit-identical to never stopping
+//! $ vaxrun --restore s.vaxsnap,d1    # resume a base plus its deltas
 //! $ vaxrun --vm --fork 4 p.s        # run, then fork 4 copy-on-write
 //!                                   # children and resume each
 //! ```
@@ -58,9 +59,8 @@ struct Options {
     fleet: Option<(usize, usize)>,
     jobs: usize,
     snapshot_out: Option<String>,
+    /// Comma-separated base,delta,... chain for `--restore`.
     restore: Option<String>,
-    /// Comma-separated base,delta,... chain for `--restore-chain`.
-    restore_chain: Option<String>,
     /// Write an incremental delta (parent = last restored image) here.
     snapshot_delta: Option<String>,
     /// Arm dirty-page write tracking before the run.
@@ -79,13 +79,13 @@ fn usage() -> ExitCode {
          [--trace-depth N] [--profile] [--profile-out FILE] \
          [--fleet M[@V]] [--jobs N] [--snapshot-out FILE] [--track-dirty] [--fork K] \
          FILE.s\n       \
-         vaxrun --restore FILE [--max-cycles N] [--snapshot-out FILE] [--fork K] \
-         [--metrics-out FILE]\n       \
-         vaxrun --restore-chain BASE,D1,... [--track-dirty] [--snapshot-delta FILE] \
-         [--max-cycles N]\n\n       --track-dirty arms dirty-page write tracking before \
-         the run, so a\n       --snapshot-out image can anchor an incremental chain: \
-         restore it (or a\n       chain) with --restore-chain and write the next link \
-         with\n       --snapshot-delta — O(dirty pages), digest-linked to its \
+         vaxrun --restore BASE[,DELTA...] [--max-cycles N] [--snapshot-out FILE] \
+         [--fork K] [--track-dirty] [--snapshot-delta FILE] [--metrics-out FILE]\n\n       \
+         --restore resumes a snapshot, or a base snapshot plus the deltas\n       \
+         taken after it, in order.\n\n       --track-dirty arms dirty-page write \
+         tracking before the run, so a\n       --snapshot-out image can anchor an \
+         incremental chain: restore it (or a\n       chain) with --restore and write the \
+         next link with\n       --snapshot-delta — O(dirty pages), digest-linked to its \
          parent.\n\n       --exec-tier selects how guest code executes: \
          'interp' (bytewise decode every\n       instruction), 'cache' (PA-keyed decode \
          cache, the default), or 'trans'\n       (decode cache + translated superblocks \
@@ -128,7 +128,6 @@ fn parse_args() -> Result<Options, ExitCode> {
         jobs: 1,
         snapshot_out: None,
         restore: None,
-        restore_chain: None,
         snapshot_delta: None,
         track_dirty: false,
         fork: 0,
@@ -186,7 +185,6 @@ fn parse_args() -> Result<Options, ExitCode> {
             }
             "--snapshot-out" => opts.snapshot_out = Some(args.next().ok_or_else(usage)?),
             "--restore" => opts.restore = Some(args.next().ok_or_else(usage)?),
-            "--restore-chain" => opts.restore_chain = Some(args.next().ok_or_else(usage)?),
             "--snapshot-delta" => opts.snapshot_delta = Some(args.next().ok_or_else(usage)?),
             "--track-dirty" => opts.track_dirty = true,
             "--fork" => {
@@ -201,15 +199,11 @@ fn parse_args() -> Result<Options, ExitCode> {
             _ => return Err(usage()),
         }
     }
-    if opts.path.is_empty() && opts.restore.is_none() && opts.restore_chain.is_none() {
+    if opts.path.is_empty() && opts.restore.is_none() {
         return Err(usage());
     }
-    if opts.restore.is_some() && opts.restore_chain.is_some() {
-        eprintln!("vaxrun: --restore and --restore-chain are mutually exclusive");
-        return Err(usage());
-    }
-    if opts.snapshot_delta.is_some() && opts.restore.is_none() && opts.restore_chain.is_none() {
-        eprintln!("vaxrun: --snapshot-delta needs a parent image: use --restore/--restore-chain");
+    if opts.snapshot_delta.is_some() && opts.restore.is_none() {
+        eprintln!("vaxrun: --snapshot-delta needs a parent image: use --restore");
         return Err(usage());
     }
     Ok(opts)
@@ -276,8 +270,8 @@ fn snapshot_duties(monitor: &mut Monitor, opts: &Options) -> Result<(u64, u64), 
     Ok((snap_bytes, opts.fork as u64))
 }
 
-/// `--restore`/`--restore-chain` mode: reconstruct a monitor from a
-/// snapshot file (plus any incremental deltas) and resume it. No
+/// `--restore` mode: reconstruct a monitor from a snapshot file (plus
+/// any incremental deltas) and resume it. No
 /// assembly source is involved — the guests, their memory, and the
 /// machine clock all come from the images. With `--snapshot-delta`,
 /// the run's dirty pages are written as the chain's next link (parent
@@ -296,7 +290,7 @@ fn run_restored(opts: &Options, paths: &[String]) -> ExitCode {
     let (base, deltas) = match images.split_first() {
         Some(v) => v,
         None => {
-            eprintln!("vaxrun: --restore-chain needs at least a base image");
+            eprintln!("vaxrun: --restore needs at least a base image");
             return ExitCode::FAILURE;
         }
     };
@@ -615,11 +609,7 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(code) => return code,
     };
-    if let Some(path) = &opts.restore {
-        let paths = vec![path.clone()];
-        return run_restored(&opts, &paths);
-    }
-    if let Some(chain) = &opts.restore_chain {
+    if let Some(chain) = &opts.restore {
         let paths: Vec<String> = chain.split(',').map(str::to_string).collect();
         return run_restored(&opts, &paths);
     }

@@ -316,7 +316,7 @@ fn vaxrun_delta_chain_workflow() {
     assert!(err.contains("snapshot:"), "{err}");
     let chain1 = base.as_os_str().to_os_string();
     let (_, err) = run(&[
-        &a("--restore-chain"),
+        &a("--restore"),
         &chain1,
         &a("--max-cycles"),
         &a("50000"),
@@ -328,7 +328,7 @@ fn vaxrun_delta_chain_workflow() {
     chain2.push(",");
     chain2.push(&d1);
     let (_, err) = run(&[
-        &a("--restore-chain"),
+        &a("--restore"),
         &chain2,
         &a("--max-cycles"),
         &a("50000"),
@@ -339,7 +339,7 @@ fn vaxrun_delta_chain_workflow() {
     let mut chain3 = chain2.clone();
     chain3.push(",");
     chain3.push(&d2);
-    let (ok, err) = run(&[&a("--restore-chain"), &chain3]);
+    let (ok, err) = run(&[&a("--restore"), &chain3]);
     assert!(ok, "{err}");
     assert!(err.contains("ConsoleHalt"), "{err}");
 
@@ -352,7 +352,7 @@ fn vaxrun_delta_chain_workflow() {
     let mut skipped = base.as_os_str().to_os_string();
     skipped.push(",");
     skipped.push(&d2);
-    let (ok, err) = run(&[&a("--restore-chain"), &skipped]);
+    let (ok, err) = run(&[&a("--restore"), &skipped]);
     assert!(!ok);
     assert!(err.contains("digest mismatch"), "{err}");
 
