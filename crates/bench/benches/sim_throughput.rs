@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use vax_arch::{MachineVariant, Psl};
-use vax_cpu::{Machine, StepEvent};
+use vax_cpu::{ExecTier, Machine, StepEvent};
 
 fn bench(c: &mut Criterion) {
     let program = vax_asm::assemble_text(
@@ -25,11 +25,14 @@ fn bench(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("sim_throughput");
     g.throughput(Throughput::Elements(instructions));
-    for (name, decode_cache) in [("compute_loop", true), ("compute_loop_nocache", false)] {
+    for (name, tier) in [
+        ("compute_loop", ExecTier::Cache),
+        ("compute_loop_nocache", ExecTier::Interp),
+    ] {
         g.bench_function(name, |b| {
             b.iter(|| {
                 let mut m = Machine::new(MachineVariant::Standard, 64 * 1024);
-                m.set_decode_cache_enabled(decode_cache);
+                m.set_exec_tier(tier);
                 m.mem_mut().write_slice(0x1000, &program.bytes).unwrap();
                 let mut psl = Psl::new();
                 psl.set_ipl(31);

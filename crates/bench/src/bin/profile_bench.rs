@@ -6,8 +6,8 @@
 //!   on, interleaved, best-of-N wall time each. The simulated outcome
 //!   (cycles, counters, guest registers, console bytes) must be
 //!   bit-identical; the host-side slowdown must stay under 5%.
-//! * **Dirty oracle**: for each exec tier the working-set tracker's
-//!   dirty-page set must exactly equal the copy-on-write residency
+//! * **Dirty oracle**: for each exec tier the profiler's view of
+//!   written pages must exactly equal the copy-on-write residency
 //!   oracle — an independent record of written pages, since overlay
 //!   pages materialize on (and only on) writes.
 //! * **Artifact**: a collapsed-stack profile of the compute guest is
@@ -139,13 +139,14 @@ fn main() {
     }
 
     // --- dirty-page oracle per exec tier --------------------------
-    // Run A tracks dirty pages; run B forks the machine memory at the
-    // same point (discarding the child) so every subsequent write
-    // materializes an overlay page — an independent exact record.
+    // Run A reads the profiler's touched view (reset when profiling is
+    // enabled); run B forks the machine memory at the same point
+    // (discarding the child) so every subsequent write materializes an
+    // overlay page — an independent exact record.
     let mut oracle_json = Vec::new();
     for tier in [ExecTier::Interp, ExecTier::Cache, ExecTier::Trans] {
         let (_, _, monitor) = run_guest(&image, tier, true);
-        let dirty = monitor.machine().mem().dirty_pages();
+        let dirty = monitor.machine().mem().touched_pages();
 
         let mut oracle = Monitor::new(MonitorConfig::default());
         oracle.set_exec_tier(tier);
@@ -157,7 +158,7 @@ fn main() {
         assert_eq!(
             dirty,
             resident,
-            "tier {}: dirty set must equal the CoW residency oracle",
+            "tier {}: touched set must equal the CoW residency oracle",
             tier.name()
         );
         println!(

@@ -51,10 +51,10 @@ impl Scale {
 /// realistic snapshot subject: warm TLB, populated shadow tables,
 /// console output in the buffers.
 fn subject(scale: &Scale) -> Monitor {
-    subject_with(scale, Workload::Mixed, false)
+    subject_with(scale, Workload::Mixed)
 }
 
-fn subject_with(scale: &Scale, workload: Workload, track: bool) -> Monitor {
+fn subject_with(scale: &Scale, workload: Workload) -> Monitor {
     let image = build_image(&OsConfig {
         nproc: 3,
         workload,
@@ -63,9 +63,6 @@ fn subject_with(scale: &Scale, workload: Workload, track: bool) -> Monitor {
     })
     .expect("guest image builds");
     let mut monitor = Monitor::new(MonitorConfig::default());
-    if track {
-        monitor.enable_dirty_tracking();
-    }
     boot_in_monitor(&mut monitor, &image, VmConfig::default());
     monitor.run(scale.split);
     monitor
@@ -180,7 +177,7 @@ fn main() {
     // A compute-bound guest is mostly idle memory-wise: after the base,
     // each segment dirties a handful of pages, so the delta must come
     // out an order of magnitude smaller than the full image.
-    let mut chained = subject_with(&scale, Workload::Compute, true);
+    let mut chained = subject_with(&scale, Workload::Compute);
     let t = Instant::now();
     let base = snapshot_chain_base(&mut chained).expect("base snapshot");
     let base_s = t.elapsed().as_secs_f64();

@@ -333,8 +333,10 @@ impl Fleet {
         }
     }
 
-    /// Moves a VM from one monitor to another — live migration as
-    /// snapshot-plus-restore over the fleet's own memory (DESIGN.md §13).
+    /// Moves a VM from one monitor to another by stop-and-copy: the
+    /// source stops, the whole guest memory image and the VM's state
+    /// cross, and the target resumes it (DESIGN.md §13). This is
+    /// [`Fleet::migrate_live`] with zero pre-copy rounds.
     ///
     /// The VM's complete guest-visible state crosses: registers,
     /// privileged state, the guest-physical memory image, the virtual
@@ -346,7 +348,9 @@ impl Fleet {
     /// while the *monitor*-level accounting (world switches, fill
     /// counts) lawfully differs from an unmigrated run. The source slot
     /// is left halted at its virtual console; slot indices on both
-    /// monitors remain stable.
+    /// monitors remain stable. No monitor's delta chain or profile is
+    /// disturbed: migration reads and clears only its own view of the
+    /// source's written pages.
     ///
     /// # Errors
     ///
@@ -357,9 +361,7 @@ impl Fleet {
     /// image is unreadable (a VMM bug, not a guest condition). On any
     /// error the source VM is untouched.
     pub fn migrate(&mut self, vm: VmId, from: usize, to: usize) -> Result<VmId, VmmError> {
-        self.check_migration(vm, from, to)?;
-        let memory = self.read_vm_memory(vm, from)?;
-        self.admit_migrated(vm, from, to, memory)
+        Ok(self.migrate_live(vm, from, to, 0, 0)?.vm)
     }
 
     /// Shared migration preflight: index validity and extractability.
@@ -412,10 +414,10 @@ impl Fleet {
             .into_owned())
     }
 
-    /// The stop phase shared by stop-and-copy and pre-copy migration:
-    /// given the (already assembled) guest memory image, moves the VM's
-    /// state to the target, replays the SLR shadow setup, and halts the
-    /// source slot. `check_migration` must have passed.
+    /// The stop phase of a migration: given the (already assembled)
+    /// guest memory image, moves the VM's state to the target, replays
+    /// the SLR shadow setup, and halts the source slot.
+    /// `check_migration` must have passed.
     fn admit_migrated(
         &mut self,
         vm: VmId,
@@ -425,7 +427,6 @@ impl Fleet {
     ) -> Result<VmId, VmmError> {
         let source_now = self.members[from].machine().cycles();
         let target_now = self.members[to].machine().cycles();
-        let source_tracking = self.members[from].dirty_tracking_enabled();
         let (mut image, shadow) = {
             let src = &self.members[from];
             (src.vm(vm).clone(), src.shadow(vm).config())
@@ -470,27 +471,21 @@ impl Fleet {
         let slot = &mut dst.vms[new_id.0];
         let slr = slot.vm.guest_slr;
         slot.shadow.reset_guest_s(&mut dst.machine, slr);
-        // A tracked source means someone (an incremental-snapshot chain,
-        // a profiler) depends on dirty-page telemetry following the
-        // workload — carry the enablement to the target instead of
-        // silently dropping it.
-        if source_tracking && !self.members[to].dirty_tracking_enabled() {
-            self.members[to].enable_dirty_tracking();
-        }
         self.members[from].vm_mut(vm).state = VmState::ConsoleHalt;
         Ok(new_id)
     }
 
     /// Live-migrates a VM with iterative pre-copy (DESIGN.md §16).
     ///
-    /// Stop-and-copy ([`Fleet::migrate`]) freezes the source for the
-    /// whole memory copy. Pre-copy ships the full memory image while the
-    /// source keeps executing, then converges in rounds: run the source
-    /// for `round_budget` cycles, drain the write tracker, re-ship only
-    /// the pages the guest dirtied. The source is stopped only for the
-    /// *final* round, so downtime covers the residual dirty set plus the
-    /// register-state transfer — O(last round's dirty pages), not
-    /// O(memory).
+    /// Stop-and-copy ([`Fleet::migrate`], zero rounds) freezes the
+    /// source for the whole memory copy. Pre-copy ships the full memory
+    /// image while the source keeps executing, then converges in rounds:
+    /// run the source for `round_budget` cycles, drain migration's view
+    /// of the written pages, re-ship only the pages the guest dirtied.
+    /// The source is stopped only for the *final* round, so downtime
+    /// covers the residual dirty set plus the register-state transfer —
+    /// O(last round's dirty pages), not O(memory). With zero rounds the
+    /// source never runs, so `downtime` equals `total`.
     ///
     /// Termination policy: rounds end when the dirty set falls to at
     /// most `max(total_pages / 64, 1)` pages (the residual is cheaper to
@@ -499,17 +494,17 @@ impl Fleet {
     /// pure overhead), or after `max_rounds` (a hard bound so a hostile
     /// writer cannot stall migration forever).
     ///
-    /// Write tracking is enabled on the source for the duration if it
-    /// was off, and restored afterwards; note that the rounds *drain*
-    /// the source's dirty set, so an incremental-snapshot chain on the
-    /// source must be re-based afterwards. The migrated guest computes
-    /// bit-identically to a stop-and-copy migration at the same stop
-    /// point; the source's extra `run` cycles are the lawful difference.
+    /// The rounds drain only migration's own view
+    /// ([`vax_mem::PhysMemory::take_migrate_pages`]), so a delta chain
+    /// or a profile on the source carries on undisturbed. The migrated
+    /// guest computes bit-identically to a stop-and-copy migration at
+    /// the same stop point; the source's extra `run` cycles are the
+    /// lawful difference.
     ///
     /// # Errors
     ///
     /// The same conditions as [`Fleet::migrate`]. On error the source VM
-    /// keeps running (tracking enablement is restored).
+    /// keeps running.
     pub fn migrate_live(
         &mut self,
         vm: VmId,
@@ -522,29 +517,14 @@ impl Fleet {
         self.check_migration(vm, from, to)?;
         let (_, first_pfn, mem_bytes) = self.vm_window(vm, from)?;
         let total_pages = u64::from(mem_bytes / PAGE_BYTES);
-        let was_tracking = self.members[from].dirty_tracking_enabled();
-        if !was_tracking {
-            self.members[from].enable_dirty_tracking();
-        }
         // Clear dirt older than the baseline copy: everything below is
         // captured by the full-memory read, so only writes after this
         // drain need re-shipping.
         let _ = self.members[from]
             .machine_mut()
             .mem_mut()
-            .take_dirty_pages();
-        let restore_tracking = |fleet: &mut Fleet| {
-            if !was_tracking {
-                fleet.members[from].disable_dirty_tracking();
-            }
-        };
-        let mut staging = match self.read_vm_memory(vm, from) {
-            Ok(m) => m,
-            Err(e) => {
-                restore_tracking(self);
-                return Err(e);
-            }
-        };
+            .take_migrate_pages();
+        let mut staging = self.read_vm_memory(vm, from)?;
         let threshold = (total_pages / 64).max(1);
         let mut rounds = 0u32;
         let mut precopy_pages = 0u64;
@@ -560,24 +540,25 @@ impl Fleet {
             last_dirty = shipped;
         }
         // Stop phase: the source no longer runs; everything from here to
-        // the target resuming is downtime.
-        let stop = Instant::now();
+        // the target resuming is downtime. With no rounds it never ran.
+        let stop = if rounds == 0 { start } else { Instant::now() };
         let final_pages = self.ship_dirty(vm, from, first_pfn, total_pages, &mut staging);
-        restore_tracking(self);
         let new_id = self.admit_migrated(vm, from, to, staging)?;
+        let total = start.elapsed();
         Ok(LiveMigration {
             vm: new_id,
             rounds,
             total_pages,
             precopy_pages,
             final_pages,
-            downtime: stop.elapsed(),
-            total: start.elapsed(),
+            downtime: total - stop.duration_since(start),
+            total,
         })
     }
 
-    /// Drains the source tracker and re-copies the dirtied pages inside
-    /// the VM's window into the staging image. Returns pages shipped.
+    /// Drains migration's view of the source's written pages and
+    /// re-copies those inside the VM's window into the staging image.
+    /// Returns pages shipped.
     fn ship_dirty(
         &mut self,
         _vm: VmId,
@@ -589,12 +570,12 @@ impl Fleet {
         let dirty = self.members[from]
             .machine_mut()
             .mem_mut()
-            .take_dirty_pages();
+            .take_migrate_pages();
         let mem = self.members[from].machine().mem();
         let mut shipped = 0u64;
         for pfn in dirty {
-            // The tracker covers the whole real machine; only pages in
-            // this VM's window travel.
+            // The view covers the whole real machine; only pages in this
+            // VM's window travel.
             if pfn < first_pfn || u64::from(pfn - first_pfn) >= total_pages {
                 continue;
             }
@@ -634,23 +615,11 @@ impl Fleet {
         // Merge drops gauges by design; the fleet-wide dirty/touched
         // levels are the sums of the per-monitor levels (disjoint
         // memories), recomputed here from the sources.
-        let tracked: Vec<&Monitor> = self
-            .members
-            .iter()
-            .filter(|m| m.dirty_tracking_enabled())
-            .collect();
-        if !tracked.is_empty() {
-            let dirty: u64 = tracked
-                .iter()
-                .map(|m| u64::from(m.machine().mem().dirty_page_count()))
-                .sum();
-            let touched: u64 = tracked
-                .iter()
-                .map(|m| u64::from(m.machine().mem().touched_page_count()))
-                .sum();
-            agg.gauge("dirty_pages", Some(dirty as f64));
-            agg.gauge("touched_pages", Some(touched as f64));
-        }
+        let mems = self.members.iter().map(|m| m.machine().mem());
+        let dirty: u64 = mems.clone().map(|m| u64::from(m.dirty_page_count())).sum();
+        let touched: u64 = mems.map(|m| u64::from(m.touched_page_count())).sum();
+        agg.gauge("dirty_pages", Some(dirty as f64));
+        agg.gauge("touched_pages", Some(touched as f64));
         agg
     }
 }
@@ -872,8 +841,6 @@ mod tests {
             report.final_pages,
             report.total_pages
         );
-        // Tracking was borrowed for the migration, not leaked.
-        assert!(!fleet.monitor(0).dirty_tracking_enabled());
         fleet.monitor_mut(1).run(1_000_000_000);
         let m = fleet.monitor(1).vm(report.vm);
         assert_eq!(m.state, VmState::ConsoleHalt);
@@ -882,37 +849,18 @@ mod tests {
     }
 
     #[test]
-    fn migrate_carries_write_tracking_to_the_target() {
-        // A tracked source means a snapshot chain or profiler depends on
-        // dirty telemetry following the workload: both migration paths
-        // must arm the target rather than silently going dark.
-        for live in [false, true] {
-            let mut fleet = Fleet::new();
-            fleet.push(counting_monitor(1_000));
-            fleet.push(Monitor::new(MonitorConfig::default()));
-            fleet.monitor_mut(0).enable_dirty_tracking();
-            let vm = fleet.monitor(0).vm_ids().next().expect("one VM");
-            if live {
-                fleet.migrate_live(vm, 0, 1, 10_000, 4).expect("migrates");
-            } else {
-                fleet.migrate(vm, 0, 1).expect("migrates");
-            }
-            assert!(
-                fleet.monitor(1).dirty_tracking_enabled(),
-                "live={live}: target must be tracking"
-            );
-            assert!(
-                fleet.monitor(0).dirty_tracking_enabled(),
-                "live={live}: source enablement untouched"
-            );
-        }
-        // An untracked source migrates without arming anything.
+    fn stop_and_copy_is_live_migration_with_zero_rounds() {
         let mut fleet = Fleet::new();
         fleet.push(counting_monitor(1_000));
         fleet.push(Monitor::new(MonitorConfig::default()));
         let vm = fleet.monitor(0).vm_ids().next().expect("one VM");
-        fleet.migrate(vm, 0, 1).expect("migrates");
-        assert!(!fleet.monitor(1).dirty_tracking_enabled());
+        let cycles = fleet.monitor(0).machine().cycles();
+        let report = fleet.migrate_live(vm, 0, 1, 10_000, 0).expect("migrates");
+        assert_eq!(report.rounds, 0);
+        assert_eq!(report.precopy_pages, 0);
+        assert_eq!(report.final_pages, 0, "the source never ran");
+        assert_eq!(report.downtime, report.total);
+        assert_eq!(fleet.monitor(0).machine().cycles(), cycles);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::vm::{DirtyStrategy, IoStrategy, VirtualIrq, VirtualTimer, Vm, VmState
 use std::collections::VecDeque;
 use vax_arch::{AccessMode, Exception, MachineVariant, Opcode, Psl, ScbVector, VmPsl};
 use vax_cpu::{ExecTier, Machine, StepEvent, VmExit, IO_BASE_PA};
-use vax_obs::{ExitCause, Histogram, Metrics, Obs, ObsSink};
+use vax_obs::{ExitCause, Metrics, Obs, ObsSink};
 
 /// Identifies a VM within a [`Monitor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -384,7 +384,8 @@ impl Monitor {
 
     /// Enables cycle-attributed guest profiling on this monitor's
     /// machine, sampling every `sample_interval` simulated cycles, plus
-    /// working-set write tracking and per-superblock introspection.
+    /// per-superblock introspection, and resets the profiler's
+    /// working-set view of memory (no other consumer's view changes).
     /// Non-perturbing: guest state, cycles, and counters are
     /// bit-identical with profiling on or off.
     pub fn enable_profiling(&mut self, sample_interval: u64) {
@@ -401,28 +402,11 @@ impl Monitor {
         self.machine.prof()
     }
 
-    /// Enables working-set write tracking on this monitor's machine
-    /// without the profiler — the seam incremental (delta) snapshots
-    /// and pre-copy migration build on. Idempotent on an
-    /// already-tracking machine; re-enabling after a disable starts
-    /// from a clean bitmap.
-    pub fn enable_dirty_tracking(&mut self) {
-        self.machine.enable_write_tracking();
-    }
-
-    /// Disables write tracking, discarding the dirty/touched bitmaps.
-    /// No-op while the profiler is active (the profiler owns tracking
-    /// for its working-set telemetry).
-    pub fn disable_dirty_tracking(&mut self) {
-        if self.machine.prof().is_none() {
-            self.machine.disable_write_tracking();
-        }
-    }
-
-    /// Whether write tracking is currently enabled.
-    pub fn dirty_tracking_enabled(&self) -> bool {
-        self.machine.write_tracking_enabled()
-    }
+    /// Does nothing: dirty-page tracking is always on, one view per
+    /// consumer in memory's per-page word (DESIGN.md §15). Kept so
+    /// callers written for the old on/off switch still build; calling
+    /// it any number of times changes no view.
+    pub fn enable_dirty_tracking(&mut self) {}
 
     /// Selects the execution tier for this monitor's real machine.
     /// Deterministically invisible: guests produce bit-identical state,
@@ -442,59 +426,17 @@ impl Monitor {
         self.obs.state()
     }
 
-    /// Snapshots every counter the monitor can see — architectural
-    /// counters, VMM accounting, decode-cache statistics — plus the
-    /// per-cause exit-cost histograms when tracing is enabled, into a
-    /// [`Metrics`] registry ready for JSON or Prometheus exposition.
+    /// Snapshots every counter the monitor can see into a [`Metrics`]
+    /// registry ready for JSON or Prometheus exposition: the machine's
+    /// families ([`vax_cpu::Machine::metrics`]: architectural counters,
+    /// decode-cache and translation statistics, exec tier, working set,
+    /// profile) plus VMM accounting and, when tracing is enabled, the
+    /// per-cause exit-cost histograms.
     pub fn metrics(&self) -> Metrics {
-        let mut m = Metrics::new();
-        let c = self.machine.counters();
-        for (name, v) in c.named() {
-            m.counter(name, v);
-        }
-        m.counter("vm_exits", c.vm_exits());
-        m.counter("cycles", self.machine.cycles());
+        let mut m = self.machine.metrics();
+        m.counter("vm_exits", self.machine.counters().vm_exits());
         m.counter("vmm_cycles", self.vmm_cycles);
         m.counter("world_switches", self.world_switches);
-        let dc = self.machine.decode_cache_stats();
-        m.counter("decode_cache_hits", dc.hits);
-        m.counter("decode_cache_misses", dc.misses);
-        m.counter("decode_cache_bytewise_fallbacks", dc.bytewise_fallbacks);
-        m.counter("decode_cache_invalidations", dc.invalidations);
-        m.gauge("decode_cache_hit_rate", dc.hit_rate());
-        let ts = self.machine.trans_stats();
-        m.counter("trans_blocks_translated", ts.blocks_translated);
-        m.counter("trans_blocks_executed", ts.blocks_executed);
-        m.counter("trans_uops_executed", ts.uops_executed);
-        m.counter("trans_side_exit_interrupt", ts.side_exit_interrupt);
-        m.counter("trans_side_exit_bail", ts.side_exit_bail);
-        m.counter("trans_side_exit_smc", ts.side_exit_smc);
-        m.counter("trans_side_exit_tlb_miss", ts.side_exit_tlb_miss);
-        m.counter("trans_side_exit_prot", ts.side_exit_prot);
-        m.counter("trans_side_exit_modify", ts.side_exit_modify);
-        m.counter("trans_side_exit_page_cross", ts.side_exit_page_cross);
-        m.counter("trans_side_exit_io", ts.side_exit_io);
-        m.counter("trans_chain_hits", ts.chain_hits);
-        m.counter("trans_chain_links_severed", ts.chain_links_severed);
-        m.counter("trans_invalidations", ts.invalidations);
-        // Which tier ran: a trans run that never got a block hot enough
-        // to translate otherwise reads exactly like a cache run.
-        for tier in ExecTier::ALL {
-            let active = tier == self.exec_tier();
-            m.labeled_gauge(
-                "exec_tier",
-                "tier",
-                tier.name(),
-                f64::from(u8::from(active)),
-            );
-        }
-        if ts.blocks_translated > 0 {
-            let mut h = Histogram::new();
-            for (len, n) in ts.len_hist.iter().enumerate() {
-                h.record_n(len as u64, *n);
-            }
-            m.histogram("superblock_length", &h);
-        }
         let (evictions, invalidations) = self.vms.iter().fold((0, 0), |(e, i), s| {
             (e + s.shadow.evictions(), i + s.shadow.invalidations())
         });
@@ -516,18 +458,6 @@ impl Monitor {
         });
         m.counter("modify_faults", modify_faults);
         m.counter("dirty_upgrades", dirty_upgrades);
-        m.gauge("tlb_hit_rate", c.tlb_hit_rate_opt());
-        let mem = self.machine.mem();
-        if mem.write_tracking_enabled() {
-            // Levels, not counters: a `take_dirty_pages` drain (delta
-            // snapshot, pre-copy round) drops them back toward zero, so
-            // summing successive scrapes — what counter merge does —
-            // double-counts and moves backwards. Only the event count
-            // is monotonic.
-            m.gauge("dirty_pages", Some(f64::from(mem.dirty_page_count())));
-            m.gauge("touched_pages", Some(f64::from(mem.touched_page_count())));
-            m.counter("dirty_page_events", mem.dirty_page_events());
-        }
         if let Some(obs) = self.obs.state() {
             m.counter("trace_records", obs.trace().total());
             m.counter("trace_records_dropped", obs.trace().dropped());
@@ -538,53 +468,7 @@ impl Monitor {
                 }
             }
         }
-        if let Some(p) = self.machine.prof() {
-            self.profile_metrics(&mut m, p);
-        }
         m
-    }
-
-    /// The profiler's families: per-tier attribution counters, page-level
-    /// cycle and dirty-rate histograms, working-set counts, and the
-    /// per-superblock introspection. All counters/histograms, so
-    /// [`Metrics::merge`] produces correct fleet-wide profiles.
-    fn profile_metrics(&self, m: &mut Metrics, p: &vax_obs::Prof) {
-        m.counter("profile_samples", p.samples());
-        m.counter("profile_overflow_cycles", p.overflow_cycles());
-        m.counter("profile_events_dropped", p.events_dropped());
-        for tier in vax_obs::ProfTier::ALL {
-            m.counter(
-                &format!("profile_instructions_{}", tier.name()),
-                p.retired(tier),
-            );
-            m.counter(
-                &format!("profile_cycles_{}", tier.name()),
-                p.attributed(tier),
-            );
-        }
-        if p.dirty_rate().count() > 0 {
-            m.histogram("profile_dirty_rate", p.dirty_rate());
-        }
-        let pages = p.page_buckets();
-        if !pages.is_empty() {
-            let mut h = Histogram::new();
-            for (_, cycles) in &pages {
-                h.record(*cycles);
-            }
-            m.histogram("profile_page_cycles", &h);
-        }
-        let blocks = self.machine.superblock_profiles();
-        if !blocks.is_empty() {
-            m.counter("hot_superblocks", blocks.len() as u64);
-            let mut cyc = Histogram::new();
-            let mut execs = Histogram::new();
-            for b in &blocks {
-                cyc.record(b.cycles_retired);
-                execs.record(b.executions);
-            }
-            m.histogram("superblock_cycles_retired", &cyc);
-            m.histogram("superblock_executions", &execs);
-        }
     }
 
     /// Coarse exit classification from the exit packet alone. Handlers

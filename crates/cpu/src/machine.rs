@@ -13,6 +13,7 @@ use vax_arch::{
 };
 use vax_mem::{MemFault, Mmu, MmuState, PhysMemory};
 use vax_obs::prof::{Prof, ProfEventKind, ProfSink, ProfTier};
+use vax_obs::{Histogram, Metrics};
 
 /// The interval timer (ICCS/NICR/ICR).
 #[derive(Debug, Clone, Copy, Default)]
@@ -177,11 +178,6 @@ pub struct MachineState {
     pub counters: CpuCounters,
     /// Whether the processor has halted.
     pub halted: bool,
-    /// Whether working-set write tracking was enabled on memory. The
-    /// tracker's bitmaps are not state — only the enablement crosses, so
-    /// a restored machine keeps producing dirty-page deltas. Importing
-    /// re-arms a fresh (clean) tracker when set.
-    pub write_tracking: bool,
 }
 
 /// The simulated VAX processor plus its memory and bus.
@@ -372,22 +368,6 @@ impl Machine {
         self.exec_tier
     }
 
-    /// Enables or disables the decoded-instruction cache — the historical
-    /// two-tier switch, now an alias for [`Machine::set_exec_tier`] with
-    /// [`ExecTier::Cache`]/[`ExecTier::Interp`].
-    pub fn set_decode_cache_enabled(&mut self, on: bool) {
-        self.set_exec_tier(if on {
-            ExecTier::Cache
-        } else {
-            ExecTier::Interp
-        });
-    }
-
-    /// Whether the decoded-instruction cache is enabled.
-    pub fn decode_cache_enabled(&self) -> bool {
-        self.icache_enabled
-    }
-
     /// Drops every decoded-instruction cache entry and translated
     /// superblock. Embedders (the VMM) call this after rewriting guest
     /// page tables or memory images outside the machine's own store paths.
@@ -434,6 +414,117 @@ impl Machine {
     /// table). Populated only while profiling is enabled.
     pub fn superblock_profiles(&self) -> Vec<crate::trans::SuperblockProfile> {
         self.trans.profiles()
+    }
+
+    /// Snapshots the machine's metric families into a registry:
+    /// architectural counters, simulated cycles, decode-cache and
+    /// translation statistics, the exec tier in effect, memory's
+    /// working-set views and, while profiling, the profiler's families.
+    /// A monitor's registry starts from this one and adds the VMM's.
+    pub fn metrics(&self) -> Metrics {
+        let mut m = Metrics::new();
+        let c = self.counters();
+        for (name, v) in c.named() {
+            m.counter(name, v);
+        }
+        m.counter("cycles", self.cycles);
+        let dc = self.decode_cache_stats();
+        m.counter("decode_cache_hits", dc.hits);
+        m.counter("decode_cache_misses", dc.misses);
+        m.counter("decode_cache_bytewise_fallbacks", dc.bytewise_fallbacks);
+        m.counter("decode_cache_invalidations", dc.invalidations);
+        m.gauge("decode_cache_hit_rate", dc.hit_rate());
+        let ts = self.trans_stats();
+        m.counter("trans_blocks_translated", ts.blocks_translated);
+        m.counter("trans_blocks_executed", ts.blocks_executed);
+        m.counter("trans_uops_executed", ts.uops_executed);
+        m.counter("trans_side_exit_interrupt", ts.side_exit_interrupt);
+        m.counter("trans_side_exit_bail", ts.side_exit_bail);
+        m.counter("trans_side_exit_smc", ts.side_exit_smc);
+        m.counter("trans_side_exit_tlb_miss", ts.side_exit_tlb_miss);
+        m.counter("trans_side_exit_prot", ts.side_exit_prot);
+        m.counter("trans_side_exit_modify", ts.side_exit_modify);
+        m.counter("trans_side_exit_page_cross", ts.side_exit_page_cross);
+        m.counter("trans_side_exit_io", ts.side_exit_io);
+        m.counter("trans_chain_hits", ts.chain_hits);
+        m.counter("trans_chain_links_severed", ts.chain_links_severed);
+        m.counter("trans_invalidations", ts.invalidations);
+        // Which tier ran: a trans run that never got a block hot enough
+        // to translate otherwise reads exactly like a cache run.
+        for tier in ExecTier::ALL {
+            let active = tier == self.exec_tier;
+            m.labeled_gauge(
+                "exec_tier",
+                "tier",
+                tier.name(),
+                f64::from(u8::from(active)),
+            );
+        }
+        if ts.blocks_translated > 0 {
+            let mut h = Histogram::new();
+            for (len, n) in ts.len_hist.iter().enumerate() {
+                h.record_n(len as u64, *n);
+            }
+            m.histogram("superblock_length", &h);
+        }
+        m.gauge("tlb_hit_rate", c.tlb_hit_rate_opt());
+        // Levels, not counters: a drain (delta snapshot, profiler reset)
+        // drops them back toward zero, so summing successive scrapes —
+        // what counter merge does — double-counts and moves backwards.
+        // Only the event count is monotonic.
+        m.gauge("dirty_pages", Some(f64::from(self.mem.dirty_page_count())));
+        m.gauge(
+            "touched_pages",
+            Some(f64::from(self.mem.touched_page_count())),
+        );
+        m.counter("dirty_page_events", self.mem.dirty_page_events());
+        if let Some(p) = self.prof() {
+            self.profile_metrics(&mut m, p);
+        }
+        m
+    }
+
+    /// The profiler's families: per-tier attribution counters, page-level
+    /// cycle and dirty-rate histograms, and the per-superblock
+    /// introspection. All counters/histograms, so [`Metrics::merge`]
+    /// produces correct fleet-wide profiles.
+    fn profile_metrics(&self, m: &mut Metrics, p: &Prof) {
+        m.counter("profile_samples", p.samples());
+        m.counter("profile_overflow_cycles", p.overflow_cycles());
+        m.counter("profile_events_dropped", p.events_dropped());
+        for tier in ProfTier::ALL {
+            m.counter(
+                &format!("profile_instructions_{}", tier.name()),
+                p.retired(tier),
+            );
+            m.counter(
+                &format!("profile_cycles_{}", tier.name()),
+                p.attributed(tier),
+            );
+        }
+        if p.dirty_rate().count() > 0 {
+            m.histogram("profile_dirty_rate", p.dirty_rate());
+        }
+        let pages = p.page_buckets();
+        if !pages.is_empty() {
+            let mut h = Histogram::new();
+            for (_, cycles) in &pages {
+                h.record(*cycles);
+            }
+            m.histogram("profile_page_cycles", &h);
+        }
+        let blocks = self.superblock_profiles();
+        if !blocks.is_empty() {
+            m.counter("hot_superblocks", blocks.len() as u64);
+            let mut cyc = Histogram::new();
+            let mut execs = Histogram::new();
+            for b in &blocks {
+                cyc.record(b.cycles_retired);
+                execs.record(b.executions);
+            }
+            m.histogram("superblock_cycles_retired", &cyc);
+            m.histogram("superblock_executions", &execs);
+        }
     }
 
     /// General register `i` (0–15; 15 is the PC).
@@ -626,51 +717,28 @@ impl Machine {
     // ---- profiling (vax-prof) ----
 
     /// Enables cycle-attributed profiling, sampling every
-    /// `sample_interval` simulated cycles, and working-set write tracking
-    /// on memory. Re-enabling resets both. Observational only: the
-    /// profiler reads the clock and PC, never feeds anything back, so
-    /// architectural state, cycles, and counters stay bit-identical —
-    /// the equivalence fuzzers enforce this for all three tiers.
+    /// `sample_interval` simulated cycles, and resets the profiler's
+    /// working-set view of memory ([`PhysMemory::clear_touched_pages`]).
+    /// Re-enabling resets both. Observational only: the profiler reads
+    /// the clock and PC, never feeds anything back, so architectural
+    /// state, cycles, and counters stay bit-identical — the equivalence
+    /// fuzzers enforce this for all three tiers.
     pub fn enable_profiling(&mut self, sample_interval: u64) {
         self.prof = ProfSink::on(sample_interval, self.cycles);
-        self.mem.enable_write_tracking();
+        self.mem.clear_touched_pages();
         self.trans.clear_profiles();
     }
 
-    /// Disables profiling and working-set tracking, dropping their state
-    /// (including per-superblock profiles).
+    /// Disables profiling, dropping its state (including per-superblock
+    /// profiles). Memory's views are left as they are.
     pub fn disable_profiling(&mut self) {
         self.prof = ProfSink::Off;
-        self.mem.disable_write_tracking();
         self.trans.clear_profiles();
     }
 
     /// Whether profiling is enabled.
     pub fn profiling_enabled(&self) -> bool {
         self.prof.is_on()
-    }
-
-    /// Enables working-set write tracking on memory without the
-    /// profiler — the seam incremental snapshots consume (each
-    /// `snapshot_delta` drains [`vax_mem::PhysMemory::take_dirty_pages`]).
-    /// Re-enabling resets the tracker. Observational only, like
-    /// profiling: architectural state, cycles, and counters are
-    /// unaffected.
-    pub fn enable_write_tracking(&mut self) {
-        self.mem.enable_write_tracking();
-    }
-
-    /// Disables working-set write tracking, dropping the tracker. A
-    /// no-op while profiling is on would leave the profiler's dirty-rate
-    /// sampling blind, so this also applies under profiling; prefer
-    /// [`Machine::disable_profiling`] to tear both down together.
-    pub fn disable_write_tracking(&mut self) {
-        self.mem.disable_write_tracking();
-    }
-
-    /// Whether working-set write tracking is enabled.
-    pub fn write_tracking_enabled(&self) -> bool {
-        self.mem.write_tracking_enabled()
     }
 
     /// The profiler state, when enabled.
@@ -681,11 +749,13 @@ impl Machine {
     /// Records one retiring instruction with the profiler: a discriminant
     /// test when off; when on, an array add plus a deadline compare, with
     /// the interval-sample slow path also polling working-set progress.
+    /// The profiler's view is reset only when profiling is enabled, so
+    /// its size is the count of pages first written since then.
     #[inline]
     pub(crate) fn prof_retire(&mut self, tier: ProfTier, pc: u32) {
         if let ProfSink::On(p) = &mut self.prof {
             if p.observe(tier, pc, self.cycles) {
-                p.note_dirty(self.mem.dirty_page_events());
+                p.note_dirty(u64::from(self.mem.touched_page_count()));
             }
         }
     }
@@ -1261,7 +1331,6 @@ impl Machine {
             exit_stamp: self.exit_stamp,
             counters: self.counters,
             halted: self.halted,
-            write_tracking: self.mem.write_tracking_enabled(),
         }
     }
 
@@ -1298,23 +1367,12 @@ impl Machine {
         self.halted = state.halted;
         self.invalidate_code_caches();
         self.mem.clear_all_code_pages();
-        // Write-tracking enablement is machine state (an incremental
-        // snapshot chain must keep producing deltas after a restore);
-        // the bitmaps themselves are not, so the imported tracker
-        // starts clean.
-        if state.write_tracking {
-            if !self.mem.write_tracking_enabled() {
-                self.mem.enable_write_tracking();
-            }
-        } else {
-            self.mem.disable_write_tracking();
-        }
     }
 
     /// Forks this machine's memory copy-on-write (see
     /// [`PhysMemory::fork`]), returning the child overlay. The parent's
-    /// decode cache stays valid — contents are unchanged — but write
-    /// tracking keeps working because all stores funnel through
+    /// decode cache stays valid — contents are unchanged — and SMC
+    /// detection keeps working because all stores funnel through
     /// [`PhysMemory`].
     pub fn fork_mem(&mut self) -> PhysMemory {
         self.mem.fork()
@@ -1433,59 +1491,25 @@ mod tests {
     }
 
     #[test]
-    fn imported_tracking_is_sized_to_the_adopted_memory() {
-        // Regression: enable_write_tracking sizes its bitmaps from
-        // pages() at enable time. A state exported from a small tracked
-        // machine and imported into one built over a *larger* memory
-        // must arm a tracker sized to the new memory — a write past the
-        // old size would otherwise index out of bounds (a host panic)
-        // or go untracked.
+    fn import_leaves_the_adopted_memorys_views_alone() {
+        // Views live in memory, not in the exported state: a machine
+        // built over a larger memory tracks every page of it, and a
+        // forked memory stays forked.
         let mut small = Machine::new(MachineVariant::Standard, 8 * 512);
-        small.enable_write_tracking();
         small.mem_mut().write_u8(0, 1).unwrap();
-        assert_eq!(small.mem().dirty_page_count(), 1);
         let state = small.export_state();
 
         let mut m = Machine::with_mem(MachineVariant::Standard, PhysMemory::new(64 * 512));
         m.import_state(state.clone());
-        assert!(
-            m.write_tracking_enabled(),
-            "tracking enablement is imported"
-        );
-        assert_eq!(m.mem().dirty_page_count(), 0, "fresh tracker starts clean");
+        assert_eq!(m.mem().dirty_page_count(), 0, "a fresh memory starts clean");
         m.mem_mut().write_u8(63 * 512, 1).unwrap();
         assert_eq!(m.mem().dirty_pages(), vec![63]);
 
-        // A forked memory works the same way, and stays forked.
         let mut parent = PhysMemory::new(2 * 512);
         let mut forked = Machine::with_mem(MachineVariant::Standard, parent.fork());
         forked.import_state(state);
         forked.mem_mut().write_u8(512, 1).unwrap();
         assert_eq!(forked.mem().dirty_pages(), vec![1]);
         assert_eq!(forked.mem().resident_page_numbers(), vec![1]);
-
-        // An untracked state imports as untracked.
-        let mut plain = Machine::with_mem(MachineVariant::Standard, PhysMemory::new(4096));
-        plain.import_state(Machine::new(MachineVariant::Standard, 4096).export_state());
-        assert!(!plain.write_tracking_enabled());
-    }
-
-    #[test]
-    fn state_round_trip_carries_write_tracking_enablement() {
-        let mut m = Machine::new(MachineVariant::Standard, 4096);
-        m.enable_write_tracking();
-        let state = m.export_state();
-        assert!(state.write_tracking);
-
-        let mut restored = Machine::new(MachineVariant::Standard, 4096);
-        restored.import_state(state);
-        assert!(restored.write_tracking_enabled(), "import re-arms tracking");
-        restored.mem_mut().write_u8(0, 1).unwrap();
-        assert_eq!(restored.mem().dirty_page_count(), 1);
-
-        // And the off state imports as off.
-        m.disable_write_tracking();
-        restored.import_state(m.export_state());
-        assert!(!restored.write_tracking_enabled());
     }
 }

@@ -4,11 +4,11 @@
 
 use vax_arch::{MachineVariant, Opcode, Psl};
 use vax_asm::{Asm, Operand, Reg};
-use vax_cpu::{HaltReason, Machine, StepEvent};
+use vax_cpu::{ExecTier, HaltReason, Machine, StepEvent};
 
-fn kernel_machine(code: &[u8], decode_cache: bool) -> Machine {
+fn kernel_machine(code: &[u8], tier: ExecTier) -> Machine {
     let mut m = Machine::new(MachineVariant::Standard, 256 * 1024);
-    m.set_decode_cache_enabled(decode_cache);
+    m.set_exec_tier(tier);
     m.mem_mut().write_slice(0x1000, code).unwrap();
     let mut psl = Psl::new();
     psl.set_ipl(31);
@@ -57,8 +57,8 @@ fn compute_loop(iterations: u32) -> Vec<u8> {
 #[test]
 fn cache_on_and_off_are_bit_identical() {
     let code = compute_loop(500);
-    let mut cached = kernel_machine(&code, true);
-    let mut bytewise = kernel_machine(&code, false);
+    let mut cached = kernel_machine(&code, ExecTier::Cache);
+    let mut bytewise = kernel_machine(&code, ExecTier::Interp);
     run_to_halt(&mut cached);
     run_to_halt(&mut bytewise);
     assert_eq!(cached.reg(3), bytewise.reg(3));
@@ -113,15 +113,15 @@ fn self_modifying_code_is_observed() {
     let patch_addr = (0x1000 + incl_off as u32 + 1).to_le_bytes();
     bytes[movb_abs_off..movb_abs_off + 4].copy_from_slice(&patch_addr);
 
-    for decode_cache in [true, false] {
-        let mut m = kernel_machine(&bytes, decode_cache);
+    for tier in [ExecTier::Cache, ExecTier::Interp] {
+        let mut m = kernel_machine(&bytes, tier);
         run_to_halt(&mut m);
-        assert_eq!(m.reg(0), 1, "cache={decode_cache}: first iteration");
-        assert_eq!(m.reg(1), 1, "cache={decode_cache}: patched iteration");
+        assert_eq!(m.reg(0), 1, "{tier:?}: first iteration");
+        assert_eq!(m.reg(1), 1, "{tier:?}: patched iteration");
     }
 
     // The store must also have cost an invalidation, not a full flush.
-    let mut m = kernel_machine(&bytes, true);
+    let mut m = kernel_machine(&bytes, ExecTier::Cache);
     run_to_halt(&mut m);
     assert!(m.decode_cache_stats().invalidations > 0);
 }
@@ -129,7 +129,7 @@ fn self_modifying_code_is_observed() {
 #[test]
 fn tbia_and_mapen_flush_the_cache() {
     let code = compute_loop(50);
-    let mut m = kernel_machine(&code, true);
+    let mut m = kernel_machine(&code, ExecTier::Cache);
     run_to_halt(&mut m);
     let before = m.decode_cache_stats().invalidations;
     m.write_ipr(vax_arch::Ipr::Tbia, 0).unwrap();
@@ -140,14 +140,14 @@ fn tbia_and_mapen_flush_the_cache() {
 #[test]
 fn disabling_the_cache_mid_run_is_safe() {
     let code = compute_loop(100);
-    let mut m = kernel_machine(&code, true);
+    let mut m = kernel_machine(&code, ExecTier::Cache);
     for _ in 0..20 {
         assert_eq!(m.step(), StepEvent::Ok);
     }
-    m.set_decode_cache_enabled(false);
+    m.set_exec_tier(ExecTier::Interp);
     run_to_halt(&mut m);
 
-    let mut reference = kernel_machine(&code, false);
+    let mut reference = kernel_machine(&code, ExecTier::Interp);
     run_to_halt(&mut reference);
     assert_eq!(m.reg(3), reference.reg(3));
     assert_eq!(m.cycles(), reference.cycles());

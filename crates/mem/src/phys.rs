@@ -10,10 +10,24 @@ const PAGE: usize = PAGE_BYTES as usize;
 const PAGE_MASK: usize = PAGE - 1;
 /// Per-page word: the page backs decoded-instruction-cache entries.
 const CODE_PAGE: u32 = 1 << 31;
+/// Per-page word: written since the delta chain last drained its view
+/// ([`PhysMemory::take_dirty_pages`]).
+const DIRTY: u32 = 1 << 30;
+/// Per-page word: written since pre-copy migration last drained its
+/// view ([`PhysMemory::take_migrate_pages`]).
+const MIGRATE: u32 = 1 << 29;
+/// Per-page word: written since the profiler last reset its view
+/// ([`PhysMemory::clear_touched_pages`]).
+const TOUCHED: u32 = 1 << 28;
+/// Every consumer's view bit. A write to a page whose word has all of
+/// them set and no code mark needs no bookkeeping.
+const VIEWS: u32 = DIRTY | MIGRATE | TOUCHED;
 /// Per-page word: 1-based slot of a forked memory's private copy of the
 /// page in its overlay, or 0 while the page is still shared with the
 /// base.
-const SLOT_MASK: u32 = CODE_PAGE - 1;
+const SLOT_MASK: u32 = TOUCHED - 1;
+// A slot must be able to name every page of a 4 GiB memory.
+const _: () = assert!(SLOT_MASK >= 1 << (32 - PAGE_SHIFT));
 
 /// A bank of simulated physical memory.
 ///
@@ -56,56 +70,28 @@ pub struct PhysMemory {
     /// The frozen copy-on-write base shared with fork relatives, if any.
     /// Always `size` bytes long.
     base: Option<Arc<Vec<u8>>>,
-    /// One word per page: [`CODE_PAGE`] when the page backs
-    /// decoded-instruction-cache entries — a write to it is recorded in
-    /// `dirty_code` so the CPU can invalidate the stale entries before
-    /// its next decode (self-modifying code, DMA, VMM pokes: anything
-    /// that mutates physical memory funnels through the write methods
-    /// below) — and, when forked, the page's overlay slot
-    /// ([`SLOT_MASK`]).
+    /// One word per page, everything the memory knows about the page
+    /// besides its contents:
+    /// - [`CODE_PAGE`] when the page backs decoded-instruction-cache
+    ///   entries. A write to it is recorded in `dirty_code` so the CPU
+    ///   can invalidate the stale entries before its next decode
+    ///   (self-modifying code, DMA, VMM pokes: anything that mutates
+    ///   physical memory funnels through the write methods below).
+    /// - One view bit per consumer of dirty-page telemetry ([`DIRTY`],
+    ///   [`MIGRATE`], [`TOUCHED`]): set by every write, cleared only by
+    ///   that consumer, so none can empty another's view.
+    /// - When forked, the page's overlay slot ([`SLOT_MASK`]).
     page_words: Vec<u32>,
     /// Marked pages written since the last [`PhysMemory::take_dirty_code_pages`].
     dirty_code: Vec<u32>,
-    /// Optional working-set write tracker (profiling / incremental
-    /// snapshots). `None` — the default — costs one predictable branch
-    /// per write; see [`PhysMemory::enable_write_tracking`].
-    tracker: Option<Box<WriteTracker>>,
-}
-
-/// Working-set telemetry state: which pages the guest has written.
-///
-/// Purely observational — it is written to by the same
-/// [`PhysMemory::note_write`] funnel that feeds self-modifying-code
-/// tracking and never affects memory contents, so enabling it cannot
-/// perturb execution. `dirty` is the *drainable* set (an incremental
-/// snapshot consumes it via [`PhysMemory::take_dirty_pages`]); `touched`
-/// accumulates for the life of the tracker; `dirty_events` counts
-/// page-dirtying transitions monotonically across drains so a sampler
-/// can difference it into per-interval dirty rates.
-#[derive(Debug, Clone)]
-struct WriteTracker {
-    touched: Vec<bool>,
-    touched_count: u32,
-    dirty: Vec<bool>,
+    /// Pages with [`DIRTY`] set.
     dirty_count: u32,
-    dirty_events: u64,
-}
-
-impl WriteTracker {
-    /// The clean→dirty transition, at most once per page per drain
-    /// interval; kept out of line so the per-write fast path in
-    /// `note_write` stays one load and one predictable branch.
-    #[cold]
-    #[inline(never)]
-    fn mark_dirty(&mut self, p: usize) {
-        self.dirty[p] = true;
-        self.dirty_count += 1;
-        self.dirty_events += 1;
-        if !self.touched[p] {
-            self.touched[p] = true;
-            self.touched_count += 1;
-        }
-    }
+    /// Pages with [`MIGRATE`] set.
+    migrate_count: u32,
+    /// Pages with [`TOUCHED`] set.
+    touched_count: u32,
+    /// [`TOUCHED`] transitions since the memory was created, never reset.
+    touched_events: u64,
 }
 
 /// Equality is over *effective* memory contents; the decode-cache
@@ -151,7 +137,10 @@ impl PhysMemory {
             bytes,
             base: None,
             dirty_code: Vec::new(),
-            tracker: None,
+            dirty_count: 0,
+            migrate_count: 0,
+            touched_count: 0,
+            touched_events: 0,
         }
     }
 
@@ -179,27 +168,42 @@ impl PhysMemory {
     }
 
     /// Records a write over `[pa, pa+len)` against the code-page marks
-    /// and, when enabled, the working-set tracker.
+    /// and the consumers' views: one load and one compare per page while
+    /// the page is unmarked and in every view, the common case.
     #[inline]
     fn note_write(&mut self, pa: u32, len: u32) {
         let first = pa >> PAGE_SHIFT;
         let last = (pa + len - 1) >> PAGE_SHIFT;
         for pfn in first..=last {
-            if self.page_words[pfn as usize] & CODE_PAGE != 0 {
-                self.dirty_code.push(pfn);
-            }
-        }
-        if let Some(t) = &mut self.tracker {
-            for pfn in first..=last {
-                // Dirty implies touched (drains clear only the dirty
-                // side), so an already-dirty page — the overwhelmingly
-                // common case — needs no further bookkeeping.
-                let p = pfn as usize;
-                if !t.dirty[p] {
-                    t.mark_dirty(p);
+            let w = self.page_words[pfn as usize];
+            if w & (CODE_PAGE | VIEWS) != VIEWS {
+                if w & CODE_PAGE != 0 {
+                    self.dirty_code.push(pfn);
+                }
+                if w & VIEWS != VIEWS {
+                    self.enter_views(pfn as usize);
                 }
             }
         }
+    }
+
+    /// A page's first write since some consumer last cleared its view:
+    /// set the missing view bits and count them.
+    #[cold]
+    #[inline(never)]
+    fn enter_views(&mut self, p: usize) {
+        let w = self.page_words[p];
+        if w & DIRTY == 0 {
+            self.dirty_count += 1;
+        }
+        if w & MIGRATE == 0 {
+            self.migrate_count += 1;
+        }
+        if w & TOUCHED == 0 {
+            self.touched_count += 1;
+            self.touched_events += 1;
+        }
+        self.page_words[p] = w | VIEWS;
     }
 
     // ---- copy-on-write fork ----
@@ -286,7 +290,8 @@ impl PhysMemory {
 
     /// Freezes the current effective contents into a shareable base and
     /// turns `self` into an overlay over it with no private pages. Code
-    /// marks survive: the contents are unchanged.
+    /// marks and view bits survive: the contents are unchanged, and
+    /// forking must not empty any consumer's view.
     ///
     /// Cheap when unforked (the flat store becomes the base, no copy) or
     /// already frozen with nothing written since (an `Arc` clone);
@@ -314,7 +319,7 @@ impl PhysMemory {
             }
         };
         for w in &mut self.page_words {
-            *w &= CODE_PAGE;
+            *w &= !SLOT_MASK;
         }
         let frozen = Arc::new(merged);
         self.base = Some(Arc::clone(&frozen));
@@ -325,9 +330,9 @@ impl PhysMemory {
     ///
     /// Both sides become overlays over a common frozen base: the child
     /// starts with zero private pages, and each side pays one page copy on
-    /// its first write to any page. The child's decode-cache write
-    /// tracking starts clean (its CPU must start with a cold decode
-    /// cache).
+    /// its first write to any page. The child starts with no code marks
+    /// (its CPU must start with a cold decode cache) and every view
+    /// empty; the parent keeps its views.
     pub fn fork(&mut self) -> PhysMemory {
         let base = self.freeze();
         PhysMemory {
@@ -336,7 +341,10 @@ impl PhysMemory {
             base: Some(base),
             page_words: vec![0; self.page_words.len()],
             dirty_code: Vec::new(),
-            tracker: None,
+            dirty_count: 0,
+            migrate_count: 0,
+            touched_count: 0,
+            touched_events: 0,
         }
     }
 
@@ -431,96 +439,89 @@ impl PhysMemory {
         std::mem::take(&mut self.dirty_code)
     }
 
-    // ---- working-set write tracking ----
+    // ---- dirty-page views ----
+    //
+    // Every write enters its pages into three views, one per consumer,
+    // each cleared only by its owner: the delta chain (`DIRTY`), pre-copy
+    // migration (`MIGRATE`) and the profiler (`TOUCHED`). Tracking is
+    // observational — contents, faults and simulated time are the same
+    // whoever reads or clears a view — and a fresh, forked or restored
+    // memory starts with every view empty.
 
-    /// Enables working-set telemetry: from now on every write marks its
-    /// pages touched and dirty in the (private) `WriteTracker`.
-    /// Re-enabling resets the tracker. Observational only — contents,
-    /// faults, and timing on the simulated clock are unaffected.
-    pub fn enable_write_tracking(&mut self) {
-        let pages = self.pages() as usize;
-        self.tracker = Some(Box::new(WriteTracker {
-            touched: vec![false; pages],
-            touched_count: 0,
-            dirty: vec![false; pages],
-            dirty_count: 0,
-            dirty_events: 0,
-        }));
-    }
-
-    /// Disables working-set telemetry and drops its state.
-    pub fn disable_write_tracking(&mut self) {
-        self.tracker = None;
-    }
-
-    /// Whether working-set telemetry is enabled.
-    pub fn write_tracking_enabled(&self) -> bool {
-        self.tracker.is_some()
-    }
-
-    /// Distinct pages written since tracking was enabled or the dirty set
-    /// was last drained (0 when tracking is off).
+    /// Distinct pages written since the delta chain's last drain
+    /// ([`PhysMemory::take_dirty_pages`]) or since the memory was
+    /// created, forked or restored.
     pub fn dirty_page_count(&self) -> u32 {
-        self.tracker.as_ref().map_or(0, |t| t.dirty_count)
+        self.dirty_count
     }
 
-    /// Distinct pages written since tracking was enabled (0 when off).
-    pub fn touched_page_count(&self) -> u32 {
-        self.tracker.as_ref().map_or(0, |t| t.touched_count)
-    }
-
-    /// Monotonic count of page-dirtying events — unlike
-    /// [`PhysMemory::dirty_page_count`], never reset by a drain — so a
-    /// sampler can difference it into per-interval dirty rates.
-    #[inline]
-    pub fn dirty_page_events(&self) -> u64 {
-        self.tracker.as_ref().map_or(0, |t| t.dirty_events)
-    }
-
-    /// The current dirty-page set in ascending order, without draining.
+    /// The delta chain's view in ascending order, without draining.
     pub fn dirty_pages(&self) -> Vec<u32> {
-        self.tracker.as_ref().map_or_else(Vec::new, |t| {
-            t.dirty
-                .iter()
-                .enumerate()
-                .filter(|(_, d)| **d)
-                .map(|(p, _)| p as u32)
-                .collect()
-        })
+        self.view(DIRTY, self.dirty_count)
     }
 
-    /// Drains and returns the dirty-page set in ascending order — the
-    /// seam an incremental snapshot consumes: pages dirtied after this
-    /// call land in the next drain. Touched pages and the monotonic
-    /// event count are unaffected.
+    /// Drains the delta chain's view, in ascending order: pages written
+    /// after this call land in the next drain. The seam
+    /// `snapshot_chain_base` and `snapshot_delta` consume; no other
+    /// consumer's view changes.
     pub fn take_dirty_pages(&mut self) -> Vec<u32> {
-        match &mut self.tracker {
-            None => Vec::new(),
-            Some(t) => {
-                let pages: Vec<u32> = t
-                    .dirty
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, d)| **d)
-                    .map(|(p, _)| p as u32)
-                    .collect();
-                t.dirty.fill(false);
-                t.dirty_count = 0;
-                pages
-            }
-        }
+        let n = std::mem::take(&mut self.dirty_count);
+        self.drain_view(DIRTY, n)
     }
 
-    /// The touched-page set (since enable) in ascending order.
+    /// Drains pre-copy migration's view, in ascending order: its
+    /// baseline clear and each round's re-ship set. No other consumer's
+    /// view changes.
+    pub fn take_migrate_pages(&mut self) -> Vec<u32> {
+        let n = std::mem::take(&mut self.migrate_count);
+        self.drain_view(MIGRATE, n)
+    }
+
+    /// Distinct pages written since the profiler's view was last reset
+    /// ([`PhysMemory::clear_touched_pages`]) or since the memory was
+    /// created, forked or restored.
+    pub fn touched_page_count(&self) -> u32 {
+        self.touched_count
+    }
+
+    /// The profiler's view in ascending order.
     pub fn touched_pages(&self) -> Vec<u32> {
-        self.tracker.as_ref().map_or_else(Vec::new, |t| {
-            t.touched
-                .iter()
-                .enumerate()
-                .filter(|(_, d)| **d)
-                .map(|(p, _)| p as u32)
-                .collect()
-        })
+        self.view(TOUCHED, self.touched_count)
+    }
+
+    /// Empties the profiler's view; `enable_profiling` calls this so its
+    /// working set starts from the moment profiling does.
+    pub fn clear_touched_pages(&mut self) {
+        let n = std::mem::take(&mut self.touched_count);
+        self.drain_view(TOUCHED, n);
+    }
+
+    /// Monotonic count of pages entering the profiler's view — never
+    /// reset, unlike [`PhysMemory::touched_page_count`] — so a sampler
+    /// can difference it into per-interval rates.
+    pub fn dirty_page_events(&self) -> u64 {
+        self.touched_events
+    }
+
+    /// The `n` pages whose words carry `bit`, in ascending order; the
+    /// scan stops at the `n`th.
+    fn view(&self, bit: u32, n: u32) -> Vec<u32> {
+        (0..)
+            .zip(&self.page_words)
+            .filter(|(_, w)| **w & bit != 0)
+            .map(|(p, _)| p)
+            .take(n as usize)
+            .collect()
+    }
+
+    /// Clears `bit` from the `n` pages that carry it, returning them in
+    /// ascending order.
+    fn drain_view(&mut self, bit: u32, n: u32) -> Vec<u32> {
+        let pages = self.view(bit, n);
+        for &p in &pages {
+            self.page_words[p as usize] &= !bit;
+        }
+        pages
     }
 
     /// The bytes from `pa` through the end of its physical page — the
@@ -970,22 +971,8 @@ mod tests {
     }
 
     #[test]
-    fn write_tracking_off_by_default_and_reports_nothing() {
+    fn views_count_distinct_pages_and_drain() {
         let mut m = PhysMemory::new(4 * PAGE_BYTES);
-        m.write_u32(0, 1).unwrap();
-        assert!(!m.write_tracking_enabled());
-        assert_eq!(m.dirty_page_count(), 0);
-        assert_eq!(m.touched_page_count(), 0);
-        assert_eq!(m.dirty_page_events(), 0);
-        assert!(m.dirty_pages().is_empty());
-        assert!(m.take_dirty_pages().is_empty());
-        assert!(m.touched_pages().is_empty());
-    }
-
-    #[test]
-    fn write_tracking_counts_distinct_pages_and_drains() {
-        let mut m = PhysMemory::new(4 * PAGE_BYTES);
-        m.enable_write_tracking();
         m.write_u8(0, 1).unwrap(); // page 0
         m.write_u8(4, 2).unwrap(); // page 0 again — still one page
         m.write_u16(PAGE_BYTES - 1, 0xabcd).unwrap(); // straddles pages 0-1
@@ -994,40 +981,50 @@ mod tests {
         assert_eq!(m.dirty_page_count(), 3);
         assert_eq!(m.touched_page_count(), 3);
         assert_eq!(m.dirty_page_events(), 3);
-        // Drain: dirty resets, touched and the monotonic count survive.
+        // The chain's drain empties its view only.
         assert_eq!(m.take_dirty_pages(), vec![0, 1, 3]);
         assert_eq!(m.dirty_page_count(), 0);
-        assert_eq!(m.touched_page_count(), 3);
+        assert_eq!(m.touched_pages(), vec![0, 1, 3]);
         assert_eq!(m.dirty_page_events(), 3);
-        // Re-dirtying a touched page counts as a fresh event post-drain.
+        // Re-writing a page re-enters the drained view; the others
+        // already hold it.
         m.write_u8(0, 3).unwrap();
         assert_eq!(m.dirty_pages(), vec![0]);
+        assert_eq!(m.dirty_page_events(), 3);
+        // Migration's view still holds everything written so far.
+        assert_eq!(m.take_migrate_pages(), vec![0, 1, 3]);
+        assert!(m.take_migrate_pages().is_empty());
+        assert_eq!(m.dirty_pages(), vec![0]);
+        // The profiler's reset: its view empties, its event count does
+        // not, and the next first write counts again.
+        m.clear_touched_pages();
+        assert_eq!(m.touched_page_count(), 0);
+        m.write_u8(PAGE_BYTES, 1).unwrap();
+        assert_eq!(m.touched_pages(), vec![1]);
         assert_eq!(m.dirty_page_events(), 4);
-        assert_eq!(m.touched_pages(), vec![0, 1, 3]);
-        m.disable_write_tracking();
-        assert_eq!(m.dirty_page_count(), 0);
+        assert_eq!(m.dirty_pages(), vec![0, 1]);
+        assert_eq!(m.take_migrate_pages(), vec![1]);
     }
 
     #[test]
-    fn write_tracking_covers_slice_and_zero_paths() {
+    fn views_cover_slice_and_zero_paths() {
         let mut m = PhysMemory::new(4 * PAGE_BYTES);
-        m.enable_write_tracking();
         m.write_slice(PAGE_BYTES - 4, &[1; 8]).unwrap(); // pages 0-1
         m.zero_range(2 * PAGE_BYTES, PAGE_BYTES).unwrap(); // page 2
         m.write_slice(0, &[]).unwrap(); // empty: no pages
         m.zero_range(0, 0).unwrap();
         assert_eq!(m.dirty_pages(), vec![0, 1, 2]);
+        m.copy_forward(0, 3 * PAGE_BYTES, 4).unwrap(); // page 3
+        assert_eq!(m.take_dirty_pages(), vec![0, 1, 2, 3]);
     }
 
     #[test]
-    fn write_tracking_matches_fork_residency_oracle() {
+    fn views_match_fork_residency_oracle() {
         // The CoW overlay materializes a page on — and only on — its
-        // first write, independently of the tracker: the two mechanisms
+        // first write, independently of the views: the two mechanisms
         // must name exactly the same pages.
         let mut m = PhysMemory::new(8 * PAGE_BYTES);
-        m.write_u32(0x10, 0xdead_beef).unwrap(); // pre-fork write, not counted
         let _child = m.fork();
-        m.enable_write_tracking();
         m.write_u8(PAGE_BYTES, 1).unwrap();
         m.write_u32(5 * PAGE_BYTES + 12, 0).unwrap(); // same-value write counts
         m.write_slice(7 * PAGE_BYTES - 2, &[1, 2, 3]).unwrap();
@@ -1036,16 +1033,17 @@ mod tests {
     }
 
     #[test]
-    fn fork_children_start_with_tracking_off() {
+    fn fork_keeps_the_parents_views_and_starts_the_childs_empty() {
         let mut m = PhysMemory::new(2 * PAGE_BYTES);
-        m.enable_write_tracking();
         m.write_u8(0, 1).unwrap();
         let mut child = m.fork();
-        assert!(!child.write_tracking_enabled());
-        child.write_u8(PAGE_BYTES, 1).unwrap();
         assert_eq!(child.dirty_page_count(), 0);
-        // The parent keeps tracking across the fork.
-        assert!(m.write_tracking_enabled());
+        assert_eq!(child.touched_page_count(), 0);
+        child.write_u8(PAGE_BYTES, 1).unwrap();
+        assert_eq!(child.dirty_pages(), vec![1]);
+        // The parent's views survive the freeze.
+        assert_eq!(m.dirty_pages(), vec![0]);
         assert_eq!(m.touched_pages(), vec![0]);
+        assert_eq!(m.take_migrate_pages(), vec![0]);
     }
 }

@@ -212,6 +212,18 @@ enum MemOp {
         who: usize,
         pfn: u32,
     },
+    /// The delta chain's drain.
+    TakeDirty {
+        who: usize,
+    },
+    /// Pre-copy migration's drain.
+    TakeMigrate {
+        who: usize,
+    },
+    /// The profiler's reset.
+    ClearTouched {
+        who: usize,
+    },
 }
 
 /// Addresses biased towards page ends and the end of memory, with a
@@ -257,7 +269,10 @@ fn arb_mem_op() -> impl Strategy<Value = MemOp> {
         2 => who.clone().prop_map(|who| MemOp::Fork { who }),
         1 => who.clone().prop_map(|who| MemOp::Drop { who }),
         1 => (who.clone(), 0u32..MODEL_PAGES).prop_map(|(who, pfn)| MemOp::MarkCode { who, pfn }),
-        1 => (who, 0u32..MODEL_PAGES).prop_map(|(who, pfn)| MemOp::ClearCode { who, pfn }),
+        1 => (who.clone(), 0u32..MODEL_PAGES).prop_map(|(who, pfn)| MemOp::ClearCode { who, pfn }),
+        1 => who.clone().prop_map(|who| MemOp::TakeDirty { who }),
+        1 => who.clone().prop_map(|who| MemOp::TakeMigrate { who }),
+        1 => who.prop_map(|who| MemOp::ClearTouched { who }),
     ]
 }
 
@@ -271,6 +286,12 @@ struct Relative {
     written: Option<BTreeSet<u32>>,
     /// Pages carrying a code mark.
     code: BTreeSet<u32>,
+    /// Each consumer's view — chain, migration, profiler — as pages
+    /// written since that view's last clear, this relative's creation
+    /// or, for a child, its fork.
+    views: [BTreeSet<u32>; 3],
+    /// Pages that entered the profiler's view, ever.
+    touched_events: u64,
 }
 
 impl Relative {
@@ -292,7 +313,25 @@ impl Relative {
         if let Some(w) = &mut self.written {
             w.extend(pages.clone());
         }
+        for p in pages.clone() {
+            self.views[0].insert(p);
+            self.views[1].insert(p);
+            if self.views[2].insert(p) {
+                self.touched_events += 1;
+            }
+        }
         pages.filter(|p| self.code.contains(p)).collect()
+    }
+
+    fn new(mem: PhysMemory, model: Vec<u8>, written: Option<BTreeSet<u32>>) -> Relative {
+        Relative {
+            mem,
+            model,
+            written,
+            code: BTreeSet::new(),
+            views: Default::default(),
+            touched_events: 0,
+        }
     }
 
     fn check(&self) {
@@ -308,6 +347,18 @@ impl Relative {
         assert_eq!(self.mem.resident_page_numbers(), written);
         assert_eq!(self.mem.resident_pages() as usize, written.len());
         assert_eq!(self.mem.is_cow(), self.written.is_some());
+        let [dirty, _, touched] = &self.views;
+        assert_eq!(
+            self.mem.dirty_pages(),
+            Vec::from_iter(dirty.iter().copied())
+        );
+        assert_eq!(self.mem.dirty_page_count() as usize, dirty.len());
+        assert_eq!(
+            self.mem.touched_pages(),
+            Vec::from_iter(touched.iter().copied())
+        );
+        assert_eq!(self.mem.touched_page_count() as usize, touched.len());
+        assert_eq!(self.mem.dirty_page_events(), self.touched_events);
     }
 }
 
@@ -320,16 +371,16 @@ proptest! {
 
     /// Random operation sequences over a family of fork relatives
     /// agree with one flat `Vec<u8>` model per relative: contents, every
-    /// read flavour, faults, private-page sets, equality, and
-    /// dirty-code notices.
+    /// read flavour, faults, private-page sets, equality, dirty-code
+    /// notices, and each consumer's view of the written pages across
+    /// the other consumers' clears, fork, fork-of-fork and re-freeze.
     #[test]
     fn cow_memory_matches_flat_models(ops in proptest::collection::vec(arb_mem_op(), 1..150)) {
-        let mut rels = vec![Relative {
-            mem: PhysMemory::new(MODEL_BYTES),
-            model: vec![0; MODEL_BYTES as usize],
-            written: None,
-            code: BTreeSet::new(),
-        }];
+        let mut rels = vec![Relative::new(
+            PhysMemory::new(MODEL_BYTES),
+            vec![0; MODEL_BYTES as usize],
+            None,
+        )];
         for op in ops {
             let n = rels.len();
             match op {
@@ -446,12 +497,8 @@ proptest! {
                         let parent = &mut rels[who % n];
                         let mem = parent.mem.fork();
                         parent.written = Some(BTreeSet::new());
-                        let child = Relative {
-                            mem,
-                            model: parent.model.clone(),
-                            written: Some(BTreeSet::new()),
-                            code: BTreeSet::new(),
-                        };
+                        let child =
+                            Relative::new(mem, parent.model.clone(), Some(BTreeSet::new()));
                         rels.push(child);
                     }
                 }
@@ -469,6 +516,21 @@ proptest! {
                     let r = &mut rels[who % n];
                     r.mem.clear_code_page(pfn);
                     r.code.remove(&pfn);
+                }
+                MemOp::TakeDirty { who } => {
+                    let r = &mut rels[who % n];
+                    let want = Vec::from_iter(std::mem::take(&mut r.views[0]));
+                    prop_assert_eq!(r.mem.take_dirty_pages(), want);
+                }
+                MemOp::TakeMigrate { who } => {
+                    let r = &mut rels[who % n];
+                    let want = Vec::from_iter(std::mem::take(&mut r.views[1]));
+                    prop_assert_eq!(r.mem.take_migrate_pages(), want);
+                }
+                MemOp::ClearTouched { who } => {
+                    let r = &mut rels[who % n];
+                    r.mem.clear_touched_pages();
+                    r.views[2].clear();
                 }
             }
             for r in &rels {

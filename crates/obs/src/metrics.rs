@@ -373,9 +373,9 @@ fn prom_help(name: &str) -> &'static str {
         "profile_events_dropped" => "Superblock lifecycle events dropped at cap",
         "profile_dirty_rate" => "Pages newly dirtied per profiler sampling interval",
         "profile_page_cycles" => "Sampled cycles attributed per guest page",
-        "dirty_pages" => "Distinct pages written since tracking enabled or last drain",
-        "touched_pages" => "Distinct pages written since tracking enabled",
-        "dirty_page_events" => "Monotonic count of page-dirtying events",
+        "dirty_pages" => "Distinct pages written since the delta chain's last drain",
+        "touched_pages" => "Distinct pages written since profiling was last enabled",
+        "dirty_page_events" => "Monotonic count of pages entering the profiler's working set",
         "modify_faults" => "Guest modify faults taken via the shadow tables",
         "dirty_upgrades" => "Shadow PTEs upgraded to writable after a modify fault",
         "hot_superblocks" => "Translated superblocks with per-block profiles",

@@ -190,8 +190,9 @@ pub struct Prof {
     attributed: [u64; ProfTier::COUNT],
     buckets: BucketMap,
     overflow_cycles: u64,
-    /// Cumulative dirty-page events seen at the last sample (the memory
-    /// side reports a monotonic count; the profiler differences it).
+    /// Pages written since profiling began, as of the last sample (the
+    /// memory side reports a count that only grows while the profiler
+    /// lives; the profiler differences it).
     dirty_seen: u64,
     dirty_rate: Histogram,
     events: Vec<ProfEvent>,
@@ -250,9 +251,9 @@ impl Prof {
         }
     }
 
-    /// Records the memory side's monotonic dirty-page event count at a
-    /// sample boundary; the difference from the previous boundary is one
-    /// entry in the per-interval dirty-rate histogram.
+    /// Records how many pages have been written since profiling began at
+    /// a sample boundary; the difference from the previous boundary is
+    /// one entry in the per-interval dirty-rate histogram.
     #[inline]
     pub fn note_dirty(&mut self, cumulative_dirty_events: u64) {
         let newly = cumulative_dirty_events.saturating_sub(self.dirty_seen);

@@ -57,9 +57,9 @@ use vax_vmm::{
 /// The file magic.
 pub const MAGIC: &[u8; 8] = b"VAXSNAP1";
 /// The format version this build writes. Version 3 made every image a
-/// delta; version 2 added the machine's write-tracking enablement flag
-/// so an incremental-snapshot chain keeps producing deltas after a
-/// restore.
+/// delta; version 2 added the machine's write-tracking enablement flag,
+/// which this build always writes as 1 (tracking is always on) and
+/// reads as a validated but ignored bool.
 pub const VERSION: u32 = 3;
 /// The last version whose full images carry memory as one stream.
 const FULL_V2: u32 = 2;
@@ -815,7 +815,10 @@ fn write_machine(w: &mut Writer, m: &MachineState) {
     w.u64(m.exit_stamp);
     write_counters(w, &m.counters);
     w.bool(m.halted);
-    w.bool(m.write_tracking);
+    // The write-tracking byte: always 1, as tracking cannot be off; the
+    // layout keeps it so stored images and the pinned digest still hold
+    // (DESIGN.md §13).
+    w.bool(true);
 }
 
 fn read_machine(r: &mut Reader<'_>, remaining: &mut u64) -> Result<MachineState, SnapshotError> {
@@ -861,7 +864,7 @@ fn read_machine(r: &mut Reader<'_>, remaining: &mut u64) -> Result<MachineState,
             vector: r.u16()?,
         });
     }
-    Ok(MachineState {
+    let state = MachineState {
         regs,
         psl_raw,
         vmpsl,
@@ -882,8 +885,10 @@ fn read_machine(r: &mut Reader<'_>, remaining: &mut u64) -> Result<MachineState,
         exit_stamp: r.u64()?,
         counters: read_counters(r)?,
         halted: r.bool("halted")?,
-        write_tracking: r.bool("write tracking")?,
-    })
+    };
+    // Validated, then ignored: tracking is always on.
+    r.bool("write tracking")?;
+    Ok(state)
 }
 
 // ---- per-VM state ----

@@ -57,12 +57,11 @@ fn os_monitor() -> Monitor {
     monitor
 }
 
-/// A tracked monitor's base snapshot and a delta on it carrying exactly
-/// two disjoint one-page extents and one byte of console output more
-/// than the base.
+/// A monitor's base snapshot and a delta on it carrying exactly two
+/// disjoint one-page extents and one byte of console output more than
+/// the base.
 fn base_and_delta() -> (Vec<u8>, Vec<u8>) {
     let mut m = Monitor::new(MonitorConfig::default());
-    m.enable_dirty_tracking();
     let vm = m.create_vm("guest", VmConfig::default());
     let base = snapshot_monitor(&m).expect("base");
     // Clear create_vm's own setup writes so exactly two runs remain.

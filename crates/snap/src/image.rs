@@ -143,8 +143,8 @@ pub fn rebuild(image: MonitorImage, mem: PhysMemory) -> Result<Monitor, Snapshot
         *monitor.vm_mut(id) = vm_image.vm;
         monitor.shadow_mut(id).import_cache_state(vm_image.shadow);
     }
-    // Importing the state resets the decode cache and re-arms
-    // write tracking against the memory in place.
+    // Importing the state resets the decode cache. The memory's views
+    // start empty, as any restored or forked memory's do.
     monitor.machine_mut().import_state(image.machine);
     monitor.set_scheduler_state(image.sched);
     Ok(monitor)

@@ -116,21 +116,16 @@ pub fn restore_monitor(bytes: &[u8]) -> Result<Monitor, SnapshotError> {
 }
 
 /// Captures a full snapshot to anchor a delta chain: identical bytes to
-/// [`snapshot_monitor`], but also *drains* the dirty-page set, so the
-/// first [`snapshot_delta`] carries only pages written after this
-/// capture rather than everything written since tracking was enabled.
-/// Requires write tracking for the same reason `snapshot_delta` does.
+/// [`snapshot_monitor`], but also *drains* the chain's view of written
+/// pages, so the first [`snapshot_delta`] carries only pages written
+/// after this capture rather than everything written since the memory
+/// was created.
 ///
 /// # Errors
 ///
-/// The conditions of [`snapshot_delta`]. The dirty set is not drained
-/// on error.
+/// The conditions of [`snapshot_monitor`]. The chain's view is not
+/// drained on error.
 pub fn snapshot_chain_base(monitor: &mut Monitor) -> Result<Vec<u8>, SnapshotError> {
-    if !monitor.machine().mem().write_tracking_enabled() {
-        return Err(SnapshotError::Unsupported {
-            what: "delta snapshot requires write tracking",
-        });
-    }
     let bytes = snapshot_monitor(monitor)?;
     let _ = monitor.machine_mut().mem_mut().take_dirty_pages();
     Ok(bytes)
@@ -142,26 +137,19 @@ pub fn snapshot_chain_base(monitor: &mut Monitor) -> Result<Vec<u8>, SnapshotErr
 ///
 /// `parent_digest` is [`snapshot_digest`] of the predecessor's bytes:
 /// the base snapshot for the first delta, the previous delta after that.
-/// The call *drains* the machine's dirty-page set, so the next delta
-/// picks up exactly where this one left off. The chain contract: write
-/// tracking must already be enabled when the base snapshot is taken
-/// (enable it, snapshot, run, delta, run, delta, …); a page written
-/// before tracking was enabled but after the base would silently go
-/// missing, which is why this function refuses to run without tracking.
+/// The call *drains* the chain's view of written pages, so the next
+/// delta picks up exactly where this one left off. Tracking is always
+/// on and only the chain drains its view, so a delta carries at least
+/// every page written since its parent — more when the parent was a
+/// [`snapshot_monitor`] image rather than a [`snapshot_chain_base`] —
+/// and a chain restores exactly whatever else runs on the monitor
+/// (profiling, live migration of other VMs).
 ///
 /// # Errors
 ///
-/// [`SnapshotError::Unsupported`] if write tracking is off (an empty
-/// delta would be produced no matter what the guest wrote — an error,
-/// not silent data loss) or capture hits a structural cap; the
-/// conditions of [`snapshot_monitor`] otherwise. The dirty set is not
+/// The conditions of [`snapshot_monitor`]. The chain's view is not
 /// drained on error.
 pub fn snapshot_delta(monitor: &mut Monitor, parent_digest: u64) -> Result<Vec<u8>, SnapshotError> {
-    if !monitor.machine().mem().write_tracking_enabled() {
-        return Err(SnapshotError::Unsupported {
-            what: "delta snapshot requires write tracking",
-        });
-    }
     let image = capture(monitor)?;
     let dirty = monitor.machine_mut().mem_mut().take_dirty_pages();
     format::encode(&image, parent_digest, monitor.machine().mem(), dirty)
@@ -235,17 +223,8 @@ mod tests {
     use vax_vmm::{MonitorConfig, VmConfig};
 
     #[test]
-    fn delta_requires_write_tracking() {
-        let mut m = Monitor::new(MonitorConfig::default());
-        m.create_vm("guest", VmConfig::default());
-        let err = snapshot_delta(&mut m, 0).expect_err("tracking off");
-        assert_eq!(err.what(), "delta snapshot requires write tracking");
-    }
-
-    #[test]
     fn empty_delta_round_trips_and_chains() {
         let mut m = Monitor::new(MonitorConfig::default());
-        m.enable_dirty_tracking();
         m.create_vm("guest", VmConfig::default());
         let base = snapshot_monitor(&m).expect("base");
         // Quiescent monitor: the delta may still carry pages create_vm
@@ -261,6 +240,6 @@ mod tests {
             base.len()
         );
         let restored = restore_chain(&base, &[d]).expect("chain");
-        assert!(restored.machine().mem().write_tracking_enabled());
+        assert_eq!(restored.machine().mem().dirty_page_count(), 0);
     }
 }

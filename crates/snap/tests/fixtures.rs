@@ -19,15 +19,14 @@ use vax_vmm::{Monitor, MonitorConfig, ShadowConfig, VmConfig, VmId};
 /// version.
 const GOLDEN_DIGEST: u64 = 0x8b1b_d668_9d52_8401;
 
-/// The recipe's base state: a small tracked monitor built by host-side
-/// calls only — no guest instruction runs, so nothing here depends on
-/// the cost model or the execution tier.
+/// The recipe's base state: a small monitor built by host-side calls
+/// only — no guest instruction runs, so nothing here depends on the
+/// cost model or the execution tier.
 fn recipe() -> (Monitor, VmId) {
     let mut m = Monitor::new(MonitorConfig {
         mem_bytes: 64 * 1024,
         ..MonitorConfig::default()
     });
-    m.enable_dirty_tracking();
     let vm = m.create_vm(
         "fixture",
         VmConfig {

@@ -63,8 +63,6 @@ struct Options {
     restore: Option<String>,
     /// Write an incremental delta (parent = last restored image) here.
     snapshot_delta: Option<String>,
-    /// Arm dirty-page write tracking before the run.
-    track_dirty: bool,
     fork: usize,
     exec_tier: ExecTier,
     profile: bool,
@@ -77,13 +75,12 @@ fn usage() -> ExitCode {
         "usage: vaxrun [--vm] [--list] [--trace] [--base HEX] [--max-cycles N] \
          [--exec-tier interp|cache|trans] [--metrics-out FILE] [--trace-out FILE] \
          [--trace-depth N] [--profile] [--profile-out FILE] \
-         [--fleet M[@V]] [--jobs N] [--snapshot-out FILE] [--track-dirty] [--fork K] \
+         [--fleet M[@V]] [--jobs N] [--snapshot-out FILE] [--fork K] \
          FILE.s\n       \
          vaxrun --restore BASE[,DELTA...] [--max-cycles N] [--snapshot-out FILE] \
-         [--fork K] [--track-dirty] [--snapshot-delta FILE] [--metrics-out FILE]\n\n       \
+         [--fork K] [--snapshot-delta FILE] [--metrics-out FILE]\n\n       \
          --restore resumes a snapshot, or a base snapshot plus the deltas\n       \
-         taken after it, in order.\n\n       --track-dirty arms dirty-page write \
-         tracking before the run, so a\n       --snapshot-out image can anchor an \
+         taken after it, in order.\n\n       Every --snapshot-out image can anchor an \
          incremental chain: restore it (or a\n       chain) with --restore and write the \
          next link with\n       --snapshot-delta — O(dirty pages), digest-linked to its \
          parent.\n\n       --exec-tier selects how guest code executes: \
@@ -129,7 +126,6 @@ fn parse_args() -> Result<Options, ExitCode> {
         snapshot_out: None,
         restore: None,
         snapshot_delta: None,
-        track_dirty: false,
         fork: 0,
         exec_tier: ExecTier::default(),
         profile: false,
@@ -186,7 +182,6 @@ fn parse_args() -> Result<Options, ExitCode> {
             "--snapshot-out" => opts.snapshot_out = Some(args.next().ok_or_else(usage)?),
             "--restore" => opts.restore = Some(args.next().ok_or_else(usage)?),
             "--snapshot-delta" => opts.snapshot_delta = Some(args.next().ok_or_else(usage)?),
-            "--track-dirty" => opts.track_dirty = true,
             "--fork" => {
                 let v = args.next().ok_or_else(usage)?;
                 opts.fork = v.parse().map_err(|_| usage())?;
@@ -228,15 +223,10 @@ fn write_metrics(path: &str, metrics: &Metrics) -> std::io::Result<()> {
 fn snapshot_duties(monitor: &mut Monitor, opts: &Options) -> Result<(u64, u64), ExitCode> {
     let mut snap_bytes = 0u64;
     if let Some(path) = &opts.snapshot_out {
-        // On a tracked monitor the full snapshot anchors a delta chain,
-        // so it drains the dirty set — the next --snapshot-delta ships
-        // only pages written after this image.
-        let result = if monitor.dirty_tracking_enabled() {
-            vax_snap::snapshot_chain_base(monitor)
-        } else {
-            vax_snap::snapshot_monitor(monitor)
-        };
-        match result {
+        // The full snapshot anchors a delta chain, so it drains the
+        // chain's view — the next --snapshot-delta ships only pages
+        // written after this image.
+        match vax_snap::snapshot_chain_base(monitor) {
             Ok(bytes) => {
                 snap_bytes = bytes.len() as u64;
                 if let Err(e) = std::fs::write(path, &bytes) {
@@ -304,9 +294,6 @@ fn run_restored(opts: &Options, paths: &[String]) -> ExitCode {
     // The digest the next delta must name as its parent: the last image
     // of the chain as restored here.
     let parent_digest = vax_snap::snapshot_digest(images.last().unwrap_or(&Vec::new()));
-    if opts.track_dirty {
-        monitor.enable_dirty_tracking();
-    }
     let exit = monitor.run(opts.max_cycles);
     let mut all_halted = exit == RunExit::AllHalted;
     let ids: Vec<_> = monitor.vm_ids().collect();
@@ -335,7 +322,7 @@ fn run_restored(opts: &Options, paths: &[String]) -> ExitCode {
                 eprintln!("-- vaxrun: delta snapshot: {delta_bytes} bytes -> {dpath}");
             }
             Err(e) => {
-                eprintln!("vaxrun: --snapshot-delta: {e} (was the base taken with --track-dirty?)");
+                eprintln!("vaxrun: --snapshot-delta: {e}");
                 return ExitCode::FAILURE;
             }
         }
@@ -449,22 +436,20 @@ fn print_profile(prof: &Prof, blocks: &[SuperblockProfile], mem: &vax_mem::PhysM
             );
         }
     }
-    if mem.write_tracking_enabled() {
+    eprintln!(
+        "-- working set: {} pages touched, {} dirty, {} dirty-page events",
+        mem.touched_page_count(),
+        mem.dirty_page_count(),
+        mem.dirty_page_events()
+    );
+    let dr = prof.dirty_rate();
+    if dr.count() > 0 {
         eprintln!(
-            "-- working set: {} pages touched, {} dirty, {} dirty-page events",
-            mem.touched_page_count(),
-            mem.dirty_page_count(),
-            mem.dirty_page_events()
+            "--   dirty rate: mean {:.2} p99 {} max {} new dirty pages / interval",
+            dr.mean(),
+            dr.quantile(0.99),
+            dr.max()
         );
-        let dr = prof.dirty_rate();
-        if dr.count() > 0 {
-            eprintln!(
-                "--   dirty rate: mean {:.2} p99 {} max {} new dirty pages / interval",
-                dr.mean(),
-                dr.quantile(0.99),
-                dr.max()
-            );
-        }
     }
 }
 
@@ -647,11 +632,6 @@ fn main() -> ExitCode {
         }
         if opts.profile {
             monitor.enable_profiling(DEFAULT_SAMPLE_INTERVAL);
-        }
-        if opts.track_dirty {
-            // Armed before the guest loads, so a --snapshot-out base
-            // can anchor an incremental --snapshot-delta chain.
-            monitor.enable_dirty_tracking();
         }
         let vm = monitor.create_vm("vaxrun", VmConfig::default());
         if let Err(e) = monitor.vm_write_phys(vm, program.base, &program.bytes) {
@@ -840,50 +820,7 @@ fn main() -> ExitCode {
         }
     }
     if let Some(path) = &opts.metrics_out {
-        let c = m.counters();
-        let dc = m.decode_cache_stats();
-        let mut metrics = Metrics::new();
-        for (name, v) in c.named() {
-            metrics.counter(name, v);
-        }
-        metrics.counter("cycles", m.cycles());
-        metrics.counter("decode_cache_hits", dc.hits);
-        metrics.counter("decode_cache_misses", dc.misses);
-        metrics.counter("decode_cache_bytewise_fallbacks", dc.bytewise_fallbacks);
-        metrics.counter("decode_cache_invalidations", dc.invalidations);
-        metrics.gauge("decode_cache_hit_rate", dc.hit_rate());
-        let ts = m.trans_stats();
-        metrics.counter("trans_blocks_translated", ts.blocks_translated);
-        metrics.counter("trans_blocks_executed", ts.blocks_executed);
-        metrics.counter("trans_uops_executed", ts.uops_executed);
-        metrics.counter("trans_side_exit_interrupt", ts.side_exit_interrupt);
-        metrics.counter("trans_side_exit_bail", ts.side_exit_bail);
-        metrics.counter("trans_side_exit_smc", ts.side_exit_smc);
-        metrics.counter("trans_side_exit_tlb_miss", ts.side_exit_tlb_miss);
-        metrics.counter("trans_side_exit_prot", ts.side_exit_prot);
-        metrics.counter("trans_side_exit_modify", ts.side_exit_modify);
-        metrics.counter("trans_side_exit_page_cross", ts.side_exit_page_cross);
-        metrics.counter("trans_side_exit_io", ts.side_exit_io);
-        metrics.counter("trans_chain_hits", ts.chain_hits);
-        metrics.counter("trans_chain_links_severed", ts.chain_links_severed);
-        metrics.counter("trans_invalidations", ts.invalidations);
-        metrics.gauge("tlb_hit_rate", c.tlb_hit_rate_opt());
-        if let Some(p) = m.prof() {
-            metrics
-                .counter("profile_samples", p.samples())
-                .counter("profile_overflow_cycles", p.overflow_cycles());
-            for tier in ProfTier::ALL {
-                metrics
-                    .counter(
-                        &format!("profile_instructions_{}", tier.name()),
-                        p.retired(tier),
-                    )
-                    .counter(
-                        &format!("profile_cycles_{}", tier.name()),
-                        p.attributed(tier),
-                    );
-            }
-        }
+        let metrics = m.metrics();
         if let Err(e) = write_metrics(path, &metrics) {
             eprintln!("vaxrun: {path}: {e}");
             return ExitCode::FAILURE;

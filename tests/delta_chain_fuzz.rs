@@ -4,12 +4,17 @@
 //! that re-snapshots **byte-equal** to a full snapshot of the source —
 //! on every execution tier. Plus the rejection contract: corrupted
 //! deltas, a wrong base, and out-of-order chains are errors, never
-//! panics or silently wrong state.
+//! panics or silently wrong state. And the isolation contract: no other
+//! consumer of dirty-page telemetry (live migration, the profiler) can
+//! break an open chain.
 
 use proptest::prelude::*;
 use vax_cpu::ExecTier;
-use vax_snap::{restore_chain, snapshot_delta, snapshot_digest, snapshot_monitor, SnapshotError};
-use vax_vmm::{Monitor, MonitorConfig, VmConfig};
+use vax_snap::{
+    restore_chain, snapshot_chain_base, snapshot_delta, snapshot_digest, snapshot_monitor,
+    SnapshotError,
+};
+use vax_vmm::{Fleet, Monitor, MonitorConfig, VmConfig, DEFAULT_SAMPLE_INTERVAL};
 
 /// `Monitor` has no `Debug`, so `expect_err` can't be used directly.
 fn must_fail(r: Result<Monitor, SnapshotError>, why: &str) -> SnapshotError {
@@ -20,12 +25,10 @@ fn must_fail(r: Result<Monitor, SnapshotError>, why: &str) -> SnapshotError {
 }
 
 /// Same construction as `monitor_fuzz`: arbitrary code at the boot
-/// address and a semi-plausible SCB, with write tracking armed before
-/// the base snapshot (the chain protocol's one requirement).
-fn tracked_fuzz_monitor(code: &[u8], scb_junk: u32, tier: ExecTier) -> Monitor {
+/// address and a semi-plausible SCB.
+fn fuzz_monitor(code: &[u8], scb_junk: u32, tier: ExecTier) -> Monitor {
     let mut mon = Monitor::new(MonitorConfig::default());
     mon.set_exec_tier(tier);
-    mon.enable_dirty_tracking();
     let vm = mon.create_vm("fuzz", VmConfig::default());
     mon.vm_write_phys(vm, 0x1000, code).unwrap();
     for off in (0..0x140u32).step_by(4) {
@@ -44,7 +47,7 @@ fn build_chain(
     tier: ExecTier,
     segments: &[u64],
 ) -> (Monitor, Vec<u8>, Vec<Vec<u8>>) {
-    let mut src = tracked_fuzz_monitor(code, scb_junk, tier);
+    let mut src = fuzz_monitor(code, scb_junk, tier);
     let base = snapshot_monitor(&src).unwrap();
     let mut digest = snapshot_digest(&base);
     let mut deltas = Vec::new();
@@ -122,16 +125,9 @@ fn wrong_base_and_out_of_order_chains_are_rejected() {
 
 #[test]
 fn delta_chain_survives_mid_chain_restore() {
-    // Regression for the silently-dropped write tracking: restore used
-    // to come back with tracking off, so the next snapshot_delta failed
-    // (or worse, before the tracking-required guard, shipped an empty
-    // delta). A chain must be able to continue from a restored monitor.
+    // A chain must be able to continue from a restored monitor.
     let (_, base, deltas) = build_chain(&[0x33; 128], 0x200, ExecTier::Cache, &[50_000]);
     let mut restored = restore_chain(&base, &deltas).expect("restore mid-chain");
-    assert!(
-        restored.dirty_tracking_enabled(),
-        "restore must re-arm write tracking when the source had it"
-    );
     restored.run(50_000);
     let d2 = snapshot_delta(&mut restored, snapshot_digest(&deltas[0]))
         .expect("chain continues after restore");
@@ -145,10 +141,113 @@ fn delta_chain_survives_mid_chain_restore() {
 }
 
 #[test]
-fn untracked_monitor_refuses_delta_snapshot() {
+fn never_armed_monitor_takes_deltas() {
+    // Dirty-page tracking is always on: a monitor nobody armed chains,
+    // and the chain restores byte-equal.
     let mut mon = Monitor::new(MonitorConfig::default());
-    mon.create_vm("guest", VmConfig::default());
+    let vm = mon.create_vm("guest", VmConfig::default());
     let base = snapshot_monitor(&mon).unwrap();
-    let err = snapshot_delta(&mut mon, snapshot_digest(&base)).expect_err("tracking off");
-    assert!(matches!(err, SnapshotError::Unsupported { .. }));
+    mon.vm_write_phys(vm, 0x4000, &[7; 600]).unwrap();
+    let delta = snapshot_delta(&mut mon, snapshot_digest(&base)).unwrap();
+    let restored = restore_chain(&base, &[delta]).unwrap();
+    assert_eq!(
+        snapshot_monitor(&restored).unwrap(),
+        snapshot_monitor(&mon).unwrap()
+    );
+}
+
+/// A guest that writes each page of its memory from 16 KiB up once, in
+/// order, with a delay loop between pages, then spins: successive run
+/// slices write disjoint pages, so a view that loses one slice's pages
+/// shows up as a wrong restore.
+const WRITER: &str = "
+        movl #0x4000, r1
+    page:
+        movl r1, (r1)
+        movl #40, r2
+    spin:
+        sobgtr r2, spin
+        addl2 #512, r1
+        cmpl r1, #0x3f000
+        blss page
+    idle:
+        brb idle
+";
+
+/// Cycles per run slice: a few pages per writer.
+const SLICE: u64 = 60_000;
+
+/// What happens to the chain's monitor between the base and the delta.
+#[derive(Debug, Clone, Copy)]
+enum Interference {
+    /// Pre-copy live migration of the *other* writer to a second
+    /// monitor.
+    MigrateOther,
+    /// Profiling switched on mid-chain.
+    EnableProfiling,
+    /// Profiling, on since before the base, switched off mid-chain.
+    DisableProfiling,
+    /// The tracking switch called a second time.
+    EnableTrackingAgain,
+}
+
+/// Two writer VMs on monitor 0 of a two-monitor fleet: chain base, a
+/// run slice, the interference, another slice, one delta. `Err` names
+/// how the chain broke.
+fn chain_across(case: Interference) -> Result<(), String> {
+    let program = vax_asm::assemble_text(WRITER, 0x1000).unwrap();
+    let mut mon = Monitor::new(MonitorConfig::default());
+    mon.enable_dirty_tracking();
+    if let Interference::DisableProfiling = case {
+        mon.enable_profiling(DEFAULT_SAMPLE_INTERVAL);
+    }
+    let a = mon.create_vm("a", VmConfig::default());
+    let b = mon.create_vm("b", VmConfig::default());
+    for vm in [a, b] {
+        mon.vm_write_phys(vm, 0x1000, &program.bytes).unwrap();
+        mon.boot_vm(vm, 0x1000);
+    }
+    mon.run(SLICE);
+    let mut fleet = Fleet::new();
+    fleet.push(mon);
+    fleet.push(Monitor::new(MonitorConfig::default()));
+
+    let base = snapshot_chain_base(fleet.monitor_mut(0)).map_err(|e| e.to_string())?;
+    fleet.monitor_mut(0).run(SLICE);
+    match case {
+        Interference::MigrateOther => {
+            fleet
+                .migrate_live(b, 0, 1, SLICE / 4, 3)
+                .map_err(|e| e.to_string())?;
+        }
+        Interference::EnableProfiling => {
+            fleet
+                .monitor_mut(0)
+                .enable_profiling(DEFAULT_SAMPLE_INTERVAL);
+        }
+        Interference::DisableProfiling => fleet.monitor_mut(0).disable_profiling(),
+        Interference::EnableTrackingAgain => fleet.monitor_mut(0).enable_dirty_tracking(),
+    }
+    fleet.monitor_mut(0).run(SLICE);
+    let source = fleet.monitor_mut(0);
+    let delta = snapshot_delta(source, snapshot_digest(&base)).map_err(|e| e.to_string())?;
+    let restored = restore_chain(&base, &[delta]).map_err(|e| e.to_string())?;
+    if snapshot_monitor(&restored).unwrap() != snapshot_monitor(source).unwrap() {
+        return Err("restored chain differs from the source".into());
+    }
+    Ok(())
+}
+
+#[test]
+fn no_consumer_breaks_an_open_chain() {
+    let broken: Vec<String> = [
+        Interference::MigrateOther,
+        Interference::EnableProfiling,
+        Interference::DisableProfiling,
+        Interference::EnableTrackingAgain,
+    ]
+    .into_iter()
+    .filter_map(|case| chain_across(case).err().map(|e| format!("{case:?}: {e}")))
+    .collect();
+    assert!(broken.is_empty(), "broken chains: {broken:#?}");
 }

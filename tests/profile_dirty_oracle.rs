@@ -5,10 +5,11 @@
 //!   into a copy-on-write overlay with zero resident pages, and overlay
 //!   pages materialize on — and only on — writes. After a deterministic
 //!   identical run, the resident-page set is an independent record of
-//!   every page written, which must equal the tracker's dirty set
-//!   exactly (same-value writes included).
+//!   every page written, which must equal the profiler's view of
+//!   touched pages (reset when profiling is enabled) exactly
+//!   (same-value writes included).
 //! * **Content-diff oracle (soundness)**: any page whose bytes changed
-//!   over the run must be in the dirty set. The converse doesn't hold —
+//!   over the run must be in the touched set. The converse doesn't hold —
 //!   a write that stores the value already present dirties a page
 //!   without changing bytes — which is why the residency oracle, not
 //!   this one, checks exactness.
@@ -34,15 +35,15 @@ fn build(code: &[u8], scb_junk: u32, tier: ExecTier) -> Monitor {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// For every tier: tracker dirty set == CoW residency oracle, and
-    /// content-diff pages ⊆ tracker dirty set.
+    /// For every tier: the profiler's touched set == CoW residency
+    /// oracle, and content-diff pages ⊆ touched set.
     #[test]
     fn dirty_pages_match_the_oracles(
         code in proptest::collection::vec(any::<u8>(), 1..512),
         scb_junk in any::<u32>(),
     ) {
         for tier in [ExecTier::Interp, ExecTier::Cache, ExecTier::Trans] {
-            // Run A: profiling (which enables write tracking) at boot;
+            // Run A: profiling (which resets its touched view) at boot;
             // the pre-run page images feed the content-diff check.
             let mut profiled = build(&code, scb_junk, tier);
             profiled.enable_profiling(DEFAULT_SAMPLE_INTERVAL);
@@ -51,7 +52,7 @@ proptest! {
                 .map(|p| profiled.machine().mem().page(p).unwrap().to_vec())
                 .collect();
             profiled.run(2_000_000);
-            let dirty = profiled.machine().mem().dirty_pages();
+            let dirty = profiled.machine().mem().touched_pages();
 
             // Run B: identical, but the machine memory becomes a CoW
             // overlay at the same point (the discarded child freezes
@@ -62,11 +63,11 @@ proptest! {
             let resident = oracle.machine().mem().resident_page_numbers();
             prop_assert_eq!(
                 &dirty, &resident,
-                "{:?}: dirty set must equal the CoW residency oracle", tier
+                "{:?}: touched set must equal the CoW residency oracle", tier
             );
 
             // Content diff: every page whose bytes changed must be
-            // dirty (`dirty_pages` returns a sorted list).
+            // touched (`touched_pages` returns a sorted list).
             for pfn in 0..pages {
                 let changed = profiled.machine().mem().page(pfn).unwrap()
                     != pre[pfn as usize].as_slice();

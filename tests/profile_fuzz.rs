@@ -1,5 +1,5 @@
 //! Profiler non-perturbation fuzzing: enabling `vax-prof` (sampling +
-//! write tracking) must leave the simulation bit-identical — same
+//! a reset of its working-set view) must leave the simulation bit-identical — same
 //! registers, PSL, cycle count, and counters — for arbitrary code, valid
 //! or garbage, under every execution tier. The profiler only reads the
 //! simulated clock and PC; these tests are the enforcement.
@@ -93,7 +93,7 @@ proptest! {
         }
     }
 
-    /// Monitor guest: profiling the monitor (sampling + write tracking
+    /// Monitor guest: profiling the monitor (sampling, working-set view
     /// + per-superblock stats) must not change guest-visible outcomes.
     #[test]
     fn profiling_is_invisible_in_monitor(

@@ -127,6 +127,9 @@ fn vaxrun_metrics_and_trace_outputs() {
     let prom = std::fs::read_to_string(&prom_path).unwrap();
     assert!(prom.contains("# TYPE vax_instructions counter"), "{prom}");
     assert!(prom.contains("vax_cycles "), "{prom}");
+    // Bare mode exports the machine's families the monitor does,
+    // the exec tier included.
+    assert!(prom.contains("vax_exec_tier{tier=\"cache\"} 1"), "{prom}");
 }
 
 #[test]
@@ -300,13 +303,12 @@ fn vaxrun_delta_chain_workflow() {
         std::ffi::OsString::from(t)
     }
 
-    // Base with tracking armed, two incremental links, full-chain
-    // resume. The intermediate runs stop mid-loop (BudgetExhausted), so
-    // vaxrun's not-yet-halted exit code is expected — the contract is
-    // that each image gets written.
+    // Base, two incremental links, full-chain resume. The intermediate
+    // runs stop mid-loop (BudgetExhausted), so vaxrun's not-yet-halted
+    // exit code is expected — the contract is that each image gets
+    // written.
     let (_, err) = run(&[
         &a("--vm"),
-        &a("--track-dirty"),
         &a("--max-cycles"),
         &a("50000"),
         &a("--snapshot-out"),
