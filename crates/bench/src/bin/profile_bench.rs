@@ -1,9 +1,11 @@
-//! Headless profiler benchmark (DESIGN.md §15): sampling overhead on
-//! the compute loop, the non-perturbation contract, the dirty-page
-//! oracle, and a sample profile artifact — each asserted inline.
+//! Headless profiler benchmark (DESIGN.md §15): the observability
+//! sink's overhead on the compute loop, the non-perturbation contract,
+//! the dirty-page oracle, and a sample profile artifact — each asserted
+//! inline.
 //!
-//! * **Overhead**: the compute-loop guest runs with profiling off and
-//!   on, interleaved, best-of-N wall time each. The simulated outcome
+//! * **Overhead**: the compute-loop guest runs with the sink (exit
+//!   tracing, sampling profiler, PC window) off and on, interleaved,
+//!   best-of-N wall time each. The simulated outcome
 //!   (cycles, counters, guest registers, console bytes) must be
 //!   bit-identical; the host-side slowdown must stay under 5%.
 //! * **Dirty oracle**: for each exec tier the profiler's view of
@@ -22,10 +24,13 @@ use std::time::Instant;
 use vax_arch::{MachineVariant, Psl};
 use vax_cpu::{ExecTier, Machine, StepEvent};
 use vax_os::{boot_in_monitor, build_image, GuestImage, OsConfig, Workload};
-use vax_vmm::{Monitor, MonitorConfig, RunExit, VmConfig, DEFAULT_SAMPLE_INTERVAL};
+use vax_vmm::{Monitor, MonitorConfig, ObsSink, RunExit, VmConfig, DEFAULT_SAMPLE_INTERVAL};
 
 /// Cycle budget that lets every guest in this file halt.
 const BUDGET: u64 = 64_000_000_000;
+
+/// Event-ring capacity while the sink is on.
+const RING: usize = 4096;
 
 struct Scale {
     iterations: u32,
@@ -49,7 +54,7 @@ impl Scale {
 }
 
 /// Everything the simulation produced — what must not change when
-/// profiling is switched on.
+/// the sink is switched on.
 #[derive(PartialEq)]
 struct Outcome {
     cycles: u64,
@@ -58,14 +63,14 @@ struct Outcome {
     console: Vec<u8>,
 }
 
-/// Boots the image, optionally enables profiling, runs to halt, and
-/// returns (wall seconds, outcome, the finished monitor).
-fn run_guest(image: &GuestImage, tier: ExecTier, profile: bool) -> (f64, Outcome, Monitor) {
+/// Boots the image, optionally switches the sink on, runs to halt,
+/// and returns (wall seconds, outcome, the finished monitor).
+fn run_guest(image: &GuestImage, tier: ExecTier, obs: bool) -> (f64, Outcome, Monitor) {
     let mut monitor = Monitor::new(MonitorConfig::default());
     monitor.set_exec_tier(tier);
     let vm = boot_in_monitor(&mut monitor, image, VmConfig::default());
-    if profile {
-        monitor.enable_profiling(DEFAULT_SAMPLE_INTERVAL);
+    if obs {
+        monitor.enable_obs(RING);
     }
     let t = Instant::now();
     let exit = monitor.run(BUDGET);
@@ -111,7 +116,7 @@ fn main() {
         let (on_s, on_out, _) = run_guest(&image, ExecTier::default(), true);
         assert!(
             off_out == on_out,
-            "profiling must not perturb the simulation (cycles {} vs {})",
+            "the sink must not perturb the simulation (cycles {} vs {})",
             off_out.cycles,
             on_out.cycles
         );
@@ -133,14 +138,14 @@ fn main() {
     if !quick {
         assert!(
             overhead < 0.05,
-            "sampling overhead must stay under 5%, got {:.2}%",
+            "the sink's overhead must stay under 5%, got {:.2}%",
             100.0 * overhead
         );
     }
 
     // --- dirty-page oracle per exec tier --------------------------
-    // Run A reads the profiler's touched view (reset when profiling is
-    // enabled); run B forks the machine memory at the same point
+    // Run A reads the profiler's touched view (reset when the sink is
+    // switched on); run B forks the machine memory at the same point
     // (discarding the child) so every subsequent write materializes an
     // overlay page — an independent exact record.
     let mut oracle_json = Vec::new();
@@ -175,7 +180,7 @@ fn main() {
 
     // --- sample artifact + superblock coverage --------------------
     let (_, _, monitor) = run_guest(&image, ExecTier::default(), true);
-    let prof = monitor.prof().expect("profiling was on");
+    let prof = monitor.obs().expect("the sink was on").prof();
     let collapsed = prof.collapsed_stack();
     std::fs::write("BENCH_profile_collapsed.txt", &collapsed)
         .expect("write BENCH_profile_collapsed.txt");
@@ -197,7 +202,7 @@ fn main() {
     .expect("bare loop assembles");
     let mut m = Machine::new(MachineVariant::Modified, 256 * 1024);
     m.set_exec_tier(ExecTier::Trans);
-    m.enable_profiling(DEFAULT_SAMPLE_INTERVAL);
+    m.set_obs(ObsSink::on(RING, DEFAULT_SAMPLE_INTERVAL));
     m.mem_mut()
         .write_slice(program.base, &program.bytes)
         .expect("program fits");
@@ -207,7 +212,7 @@ fn main() {
     m.set_reg(14, 0x8000);
     m.set_pc(program.base);
     while m.step() == StepEvent::Ok {}
-    let blocks = m.superblock_profiles();
+    let blocks = m.obs().expect("the sink is on").prof().superblocks();
     assert!(
         !blocks.is_empty(),
         "the bare trans loop must produce superblock profiles"

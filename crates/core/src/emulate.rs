@@ -182,7 +182,8 @@ impl Monitor {
     pub(crate) fn contain(&mut self, idx: usize, err: VmmError) -> bool {
         match err.containment() {
             Containment::Reflect(e) => {
-                self.obs.refine(vax_obs::ExitCause::ReflectedMachineCheck);
+                self.machine
+                    .obs_refine(vax_obs::ExitCause::ReflectedMachineCheck);
                 self.vms[idx].vm.stats.machine_checks += 1;
                 self.reflect(idx, e)
             }
@@ -194,7 +195,7 @@ impl Monitor {
     /// reason — the clean-halt arm of fault containment. Always returns
     /// `false` (do not resume).
     pub(crate) fn security_halt(&mut self, idx: usize, err: VmmError) -> bool {
-        self.obs.refine(vax_obs::ExitCause::SecurityHalt);
+        self.machine.obs_refine(vax_obs::ExitCause::SecurityHalt);
         let vm = &mut self.vms[idx].vm;
         vm.state = VmState::ConsoleHalt;
         vm.halt_reason = Some(err);
@@ -247,7 +248,7 @@ impl Monitor {
             Exception::TranslationNotValid { va, .. } => {
                 if self.vms[idx].vm.io_strategy == IoStrategy::EmulatedMmio {
                     if let Some(gpfn) = self.mmio_window_gpfn(idx, va) {
-                        self.obs.refine(vax_obs::ExitCause::MmioEmulation);
+                        self.machine.obs_refine(vax_obs::ExitCause::MmioEmulation);
                         return crate::io::emulate_mmio_access(self, idx, va, gpfn);
                     }
                 }
@@ -264,7 +265,7 @@ impl Monitor {
                     FillOutcome::Reflect(ge) => {
                         // Not a shadow-fill service after all: the guest's
                         // own tables say the page is invalid.
-                        self.obs.refine(vax_obs::ExitCause::GuestPageFault);
+                        self.machine.obs_refine(vax_obs::ExitCause::GuestPageFault);
                         self.reflect(idx, ge)
                     }
                     FillOutcome::Fault(err) => self.contain(idx, err),
@@ -638,7 +639,7 @@ impl Monitor {
             return self.reflect(idx, Exception::ReservedOperand);
         };
         if ipr == Ipr::Ipl {
-            self.obs.refine(vax_obs::ExitCause::EmulMtprIpl);
+            self.machine.obs_refine(vax_obs::ExitCause::EmulMtprIpl);
             self.charge(self.config.costs.mtpr_ipl);
             self.vms[idx].vm.stats.mtpr_ipl += 1;
         } else {

@@ -215,19 +215,6 @@ impl Fleet {
         }
     }
 
-    /// Enables (`Some(interval)`) or disables (`None`) cycle-attributed
-    /// profiling on every member. Profile families flow through
-    /// [`Fleet::fleet_metrics`]'s counter/histogram merge, so a parallel
-    /// run yields fleet-wide profiles with no extra plumbing.
-    pub fn set_profiling(&mut self, sample_interval: Option<u64>) {
-        for m in &mut self.members {
-            match sample_interval {
-                Some(interval) => m.enable_profiling(interval),
-                None => m.disable_profiling(),
-            }
-        }
-    }
-
     /// Snapshots one monitor's observable end state.
     fn outcome(monitor: &Monitor, exit: RunExit) -> MonitorOutcome {
         let vms = monitor

@@ -70,7 +70,8 @@ pub use layout::{FrameAllocator, VMM_BOUNDARY_VA, VMM_BOUNDARY_VPN};
 pub use monitor::{compress_mode, Monitor, MonitorConfig, RunExit, SchedulerState, VmConfig, VmId};
 pub use shadow::{ShadowCacheState, ShadowConfig, ShadowSet};
 pub use vax_obs::{
-    chrome_trace, chrome_trace_with_events, ExitCause, Histogram, Metrics, Obs, ObsSink, PcBucket,
-    Prof, ProfEvent, ProfEventKind, ProfTier, TraceRecord, TraceRing, DEFAULT_SAMPLE_INTERVAL,
+    chrome_trace, ExitCause, Histogram, Metrics, Obs, ObsSink, PcBucket, Prof, ProfTier,
+    SuperblockEvent, SuperblockProfile, TraceEvent, TraceRecord, TraceRing,
+    DEFAULT_SAMPLE_INTERVAL, PC_WINDOW,
 };
 pub use vm::{DirtyStrategy, IoStrategy, Vm, VmState, VmStats};

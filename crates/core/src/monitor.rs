@@ -10,7 +10,7 @@ use crate::vm::{DirtyStrategy, IoStrategy, VirtualIrq, VirtualTimer, Vm, VmState
 use std::collections::VecDeque;
 use vax_arch::{AccessMode, Exception, MachineVariant, Opcode, Psl, ScbVector, VmPsl};
 use vax_cpu::{ExecTier, Machine, StepEvent, VmExit, IO_BASE_PA};
-use vax_obs::{ExitCause, Metrics, Obs, ObsSink};
+use vax_obs::{ExitCause, Metrics, Obs, ObsSink, DEFAULT_SAMPLE_INTERVAL};
 
 /// Identifies a VM within a [`Monitor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -129,11 +129,6 @@ pub struct Monitor {
     pub(crate) real_vector_owner: Vec<(u16, usize, u16)>,
     pub(crate) vmm_cycles: u64,
     pub(crate) world_switches: u64,
-    /// Exit-reason tracing sink. `Off` by default; every call through it
-    /// is then a no-op, so the dispatch loop pays nothing. It only ever
-    /// *reads* the machine clock — enabling it must not change cycles or
-    /// counters (enforced by the equivalence tests).
-    pub(crate) obs: ObsSink,
 }
 
 impl Monitor {
@@ -175,7 +170,6 @@ impl Monitor {
             real_vector_owner: Vec::new(),
             vmm_cycles: 0,
             world_switches: 0,
-            obs: ObsSink::off(),
         }
     }
 
@@ -371,35 +365,23 @@ impl Monitor {
         self.world_switches
     }
 
-    /// Enables exit-reason tracing with a trace ring of `ring_capacity`
-    /// records. Any previously collected observations are discarded.
-    pub fn enable_obs(&mut self, ring_capacity: usize) {
-        self.obs = ObsSink::on(ring_capacity);
-    }
-
-    /// Disables exit-reason tracing, discarding collected observations.
-    pub fn disable_obs(&mut self) {
-        self.obs = ObsSink::off();
-    }
-
-    /// Enables cycle-attributed guest profiling on this monitor's
-    /// machine, sampling every `sample_interval` simulated cycles, plus
-    /// per-superblock introspection, and resets the profiler's
-    /// working-set view of memory (no other consumer's view changes).
+    /// Switches the machine's observability sink on: exit tracing into
+    /// an event ring of `ring_capacity` records, per-cause exit-cost
+    /// histograms, cycle-attributed guest profiling sampled every
+    /// [`DEFAULT_SAMPLE_INTERVAL`] cycles with per-superblock
+    /// introspection, and the recent-PC window ([`Machine::set_obs`]).
+    /// Resets the profiler's working-set view of memory (no other
+    /// consumer's view changes) and discards anything collected before.
     /// Non-perturbing: guest state, cycles, and counters are
-    /// bit-identical with profiling on or off.
-    pub fn enable_profiling(&mut self, sample_interval: u64) {
-        self.machine.enable_profiling(sample_interval);
+    /// bit-identical with the sink on or off.
+    pub fn enable_obs(&mut self, ring_capacity: usize) {
+        self.machine
+            .set_obs(ObsSink::on(ring_capacity, DEFAULT_SAMPLE_INTERVAL));
     }
 
-    /// Disables profiling, discarding collected profiles.
-    pub fn disable_profiling(&mut self) {
-        self.machine.disable_profiling();
-    }
-
-    /// The profiler state, when profiling is enabled.
-    pub fn prof(&self) -> Option<&vax_obs::Prof> {
-        self.machine.prof()
+    /// Switches the sink off, discarding everything it collected.
+    pub fn disable_obs(&mut self) {
+        self.machine.set_obs(ObsSink::Off);
     }
 
     /// Does nothing: dirty-page tracking is always on, one view per
@@ -421,17 +403,17 @@ impl Monitor {
         self.machine.exec_tier()
     }
 
-    /// The collected observations, if tracing is enabled.
+    /// The collected observations, while the sink is on.
     pub fn obs(&self) -> Option<&Obs> {
-        self.obs.state()
+        self.machine.obs()
     }
 
     /// Snapshots every counter the monitor can see into a [`Metrics`]
     /// registry ready for JSON or Prometheus exposition: the machine's
     /// families ([`vax_cpu::Machine::metrics`]: architectural counters,
-    /// decode-cache and translation statistics, exec tier, working set,
-    /// profile) plus VMM accounting and, when tracing is enabled, the
-    /// per-cause exit-cost histograms.
+    /// decode-cache and translation statistics, exec tier, working set
+    /// and, while the sink is on, its trace, exit-cost and profile
+    /// families) plus VMM accounting.
     pub fn metrics(&self) -> Metrics {
         let mut m = self.machine.metrics();
         m.counter("vm_exits", self.machine.counters().vm_exits());
@@ -458,23 +440,13 @@ impl Monitor {
         });
         m.counter("modify_faults", modify_faults);
         m.counter("dirty_upgrades", dirty_upgrades);
-        if let Some(obs) = self.obs.state() {
-            m.counter("trace_records", obs.trace().total());
-            m.counter("trace_records_dropped", obs.trace().dropped());
-            for cause in ExitCause::ALL {
-                let h = obs.histogram(cause);
-                if h.count() > 0 {
-                    m.histogram(&format!("exit_cost_{}", cause.name()), h);
-                }
-            }
-        }
         m
     }
 
     /// Coarse exit classification from the exit packet alone. Handlers
     /// refine it once they know more (MTPR target register, whether a
     /// translation fault is a shadow fill, MMIO, or the guest's own
-    /// fault) via [`ObsSink::refine`]. Returns the cause and, for
+    /// fault) via [`Machine::obs_refine`]. Returns the cause and, for
     /// emulation traps, the trapping instruction's PC.
     fn classify_exit(exit: &VmExit) -> (ExitCause, Option<u32>) {
         match exit {
@@ -826,14 +798,12 @@ impl Monitor {
                 self.charge(self.config.costs.world_switch);
                 self.world_switches += 1;
                 self.current = Some(idx);
-                if self.obs.is_on() {
-                    let (pc, ring) = {
-                        let vm = &self.vms[idx].vm;
-                        (vm.regs[15], vm.vmpsl.cur_mode().bits() as u8)
-                    };
-                    self.obs
-                        .exit_begin(ExitCause::WorldSwitch, pc, ring, switch_start);
-                    self.obs.exit_end(self.machine.cycles());
+                if self.machine.obs().is_some() {
+                    let vm = &self.vms[idx].vm;
+                    let (pc, ring) = (vm.regs[15], vm.vmpsl.cur_mode().bits() as u8);
+                    self.machine
+                        .obs_exit_begin(ExitCause::WorldSwitch, pc, ring, switch_start);
+                    self.machine.obs_exit_end();
                 }
             }
             self.publish_uptime(idx);
@@ -877,18 +847,18 @@ impl Monitor {
                         reschedule = true;
                     }
                     StepEvent::VmExit(exit) => {
-                        if self.obs.is_on() {
+                        if self.machine.obs().is_some() {
                             let (cause, trap_pc) = Self::classify_exit(&exit);
                             let pc = trap_pc.unwrap_or_else(|| self.machine.pc());
                             let ring = self.vms[idx].vm.vmpsl.cur_mode().bits() as u8;
                             // The stamp predates the microcode's trap-entry
                             // charge, so the cost histogram covers the full
                             // exit-to-resume path, hardware half included.
-                            self.obs
-                                .exit_begin(cause, pc, ring, self.machine.last_exit_cycles());
+                            let start = self.machine.last_exit_cycles();
+                            self.machine.obs_exit_begin(cause, pc, ring, start);
                         }
                         reschedule = !self.handle_exit(idx, exit);
-                        self.obs.exit_end(self.machine.cycles());
+                        self.machine.obs_exit_end();
                         if !reschedule {
                             self.resume(idx);
                         }

@@ -2,7 +2,8 @@
 //!
 //! `Fleet::run_parallel` moves whole Monitors to worker threads, so
 //! every layer a Monitor owns — the machine, its memory and MMU, the
-//! MMIO bus and its boxed devices, the decode cache, the obs sink —
+//! MMIO bus and its boxed devices, the decode cache, the one
+//! observability sink the machine owns —
 //! must be `Send`. These are *compile-time* assertions: introducing an
 //! `Rc`, a non-`Send` trait object (the historical offender was
 //! `Box<dyn MmioDevice>` without `+ Send` on the bus), or raw-pointer
@@ -26,7 +27,10 @@ fn vmm_ownership_tree_is_send() {
     assert_send::<vax_cpu::Bus>();
     assert_send::<vax_mem::Mmu>();
     assert_send::<Vm>();
+    // The sink rides inside the machine, so a parallel fleet moves it
+    // (ring, histograms, profiler and hot-block table) across threads.
     assert_send::<ObsSink>();
+    assert_send::<vax_vmm::Obs>();
     assert_send::<vax_obs::Metrics>();
     // Devices travel inside the bus as boxed trait objects.
     assert_send::<vax_dev::SimDisk>();

@@ -12,7 +12,7 @@ use crate::bus::IO_BASE_PA;
 use crate::event::{OperandLoc, OperandValue};
 use crate::fixedvec::FixedVec;
 use crate::icache::{parse_template, BaseTpl, InstTemplate, OpTpl};
-use crate::machine::Machine;
+use crate::machine::{ExecTier, Machine};
 use vax_arch::{
     AccessMode, AccessType, CostModel, DataType, Exception, Opcode, VirtAddr, PAGE_SHIFT,
 };
@@ -384,7 +384,7 @@ impl Machine {
     /// the TLB identically, so enabling the cache never changes
     /// `cycles()` or `counters()`.
     pub(crate) fn decode_instruction(&mut self, d: &mut Decoded) -> Result<(), Abort> {
-        if self.icache_enabled && self.try_decode_cached(d)? {
+        if self.exec_tier != ExecTier::Interp && self.try_decode_cached(d)? {
             return Ok(());
         }
         self.decode_bytewise(d)

@@ -65,4 +65,4 @@ pub use fixedvec::FixedVec;
 pub use icache::DecodeCacheStats;
 pub use machine::{ExecTier, Machine, MachineState, TimerState, TIMER_IPL};
 pub use sensitivity::{scan_sensitivity, ScanOutcome, SensitivityFinding};
-pub use trans::{SuperblockProfile, TransStats};
+pub use trans::TransStats;

@@ -12,8 +12,7 @@ use vax_arch::{
     PAGE_BYTES, PAGE_SHIFT,
 };
 use vax_mem::{MemFault, Mmu, MmuState, PhysMemory};
-use vax_obs::prof::{Prof, ProfEventKind, ProfSink, ProfTier};
-use vax_obs::{Histogram, Metrics};
+use vax_obs::{ExitCause, Histogram, Metrics, Obs, ObsSink, ProfTier};
 
 /// The interval timer (ICCS/NICR/ICR).
 #[derive(Debug, Clone, Copy, Default)]
@@ -221,10 +220,9 @@ pub struct Machine {
     pub(crate) mem: PhysMemory,
     /// Decoded-instruction cache, keyed by opcode physical address.
     pub(crate) icache: DecodeCache,
-    pub(crate) icache_enabled: bool,
     /// Translated-superblock cache, keyed by entry physical address.
     pub(crate) trans: TransCache,
-    exec_tier: ExecTier,
+    pub(crate) exec_tier: ExecTier,
     pub(crate) bus: Bus,
     pub(crate) console: Console,
     pub(crate) timer: IntervalTimer,
@@ -233,12 +231,11 @@ pub struct Machine {
     /// couple hundred bytes, so it lives in one heap slot for the life of
     /// the machine instead of being re-zeroed and moved every step.
     pub(crate) decode_scratch: Option<Box<crate::decode::Decoded>>,
-    /// Optional PC trace ring (debugging aid).
-    trace: Option<(VecDeque<u32>, usize)>,
-    /// Cycle-attributed guest profiler ([`ProfSink::Off`] by default —
-    /// one discriminant test per retire). Like the decode caches, not
-    /// part of [`MachineState`]: purely diagnostic, never fed back.
-    pub(crate) prof: ProfSink,
+    /// The observability sink: exit tracing, the guest profiler and the
+    /// recent-PC window ([`ObsSink::Off`] by default — one discriminant
+    /// test per retire). Like the decode caches, not part of
+    /// [`MachineState`]: purely diagnostic, never fed back.
+    pub(crate) obs: ObsSink,
     pub(crate) cycles: u64,
     /// Cycle count at the instant the most recent VM exit began, before
     /// any microcode trap-entry charge — the observability layer's
@@ -287,7 +284,6 @@ impl Machine {
             mmu,
             mem,
             icache: DecodeCache::new(),
-            icache_enabled: true,
             trans: TransCache::new(),
             exec_tier: ExecTier::default(),
             bus: Bus::new(),
@@ -295,8 +291,7 @@ impl Machine {
             timer: IntervalTimer::default(),
             pending_irqs: Vec::new(),
             decode_scratch: Some(Box::new(crate::decode::Decoded::empty())),
-            trace: None,
-            prof: ProfSink::Off,
+            obs: ObsSink::Off,
             cycles: 0,
             exit_stamp: 0,
             counters: CpuCounters::default(),
@@ -313,7 +308,7 @@ impl Machine {
     /// charges in at translate time, so they are all dropped here.
     pub fn set_costs(&mut self, costs: CostModel) {
         self.costs = costs;
-        self.trans.invalidate_all();
+        self.invalidate_translations();
     }
 
     /// The cycle-cost model in effect.
@@ -355,8 +350,7 @@ impl Machine {
     /// [`Machine::counters`] are unaffected by the choice.
     pub fn set_exec_tier(&mut self, tier: ExecTier) {
         self.exec_tier = tier;
-        self.icache_enabled = tier != ExecTier::Interp;
-        self.trans.invalidate_all();
+        self.invalidate_translations();
         if tier == ExecTier::Interp {
             self.icache.invalidate_all();
             self.mem.clear_all_code_pages();
@@ -380,8 +374,15 @@ impl Machine {
     /// must kill both.
     pub(crate) fn invalidate_code_caches(&mut self) {
         self.icache.invalidate_all();
+        self.invalidate_translations();
+    }
+
+    /// Drops every translated superblock, telling the sink.
+    fn invalidate_translations(&mut self) {
         self.trans.invalidate_all();
-        self.prof_event(ProfEventKind::Invalidate, 0, 0);
+        if let ObsSink::On(o) = &mut self.obs {
+            o.sb_invalidate(None, self.cycles);
+        }
     }
 
     /// Drains self-modifying-code notifications: every physical page
@@ -393,7 +394,9 @@ impl Machine {
                 self.icache.invalidate_page(pfn);
                 self.trans.invalidate_page(pfn);
                 self.mem.clear_code_page(pfn);
-                self.prof_event(ProfEventKind::SmcDrain, pfn << vax_arch::PAGE_SHIFT, pfn);
+                if let ObsSink::On(o) = &mut self.obs {
+                    o.sb_smc_drain(pfn, self.cycles);
+                }
             }
         }
     }
@@ -410,16 +413,11 @@ impl Machine {
         self.trans.stats()
     }
 
-    /// Per-superblock profiles ranked by cycles retired (the hot-block
-    /// table). Populated only while profiling is enabled.
-    pub fn superblock_profiles(&self) -> Vec<crate::trans::SuperblockProfile> {
-        self.trans.profiles()
-    }
-
     /// Snapshots the machine's metric families into a registry:
     /// architectural counters, simulated cycles, decode-cache and
     /// translation statistics, the exec tier in effect, memory's
-    /// working-set views and, while profiling, the profiler's families.
+    /// working-set views and, while the sink is on, its families
+    /// ([`Obs::metrics`]).
     /// A monitor's registry starts from this one and adds the VMM's.
     pub fn metrics(&self) -> Metrics {
         let mut m = Metrics::new();
@@ -478,53 +476,10 @@ impl Machine {
             Some(f64::from(self.mem.touched_page_count())),
         );
         m.counter("dirty_page_events", self.mem.dirty_page_events());
-        if let Some(p) = self.prof() {
-            self.profile_metrics(&mut m, p);
+        if let Some(o) = self.obs() {
+            o.metrics(&mut m);
         }
         m
-    }
-
-    /// The profiler's families: per-tier attribution counters, page-level
-    /// cycle and dirty-rate histograms, and the per-superblock
-    /// introspection. All counters/histograms, so [`Metrics::merge`]
-    /// produces correct fleet-wide profiles.
-    fn profile_metrics(&self, m: &mut Metrics, p: &Prof) {
-        m.counter("profile_samples", p.samples());
-        m.counter("profile_overflow_cycles", p.overflow_cycles());
-        m.counter("profile_events_dropped", p.events_dropped());
-        for tier in ProfTier::ALL {
-            m.counter(
-                &format!("profile_instructions_{}", tier.name()),
-                p.retired(tier),
-            );
-            m.counter(
-                &format!("profile_cycles_{}", tier.name()),
-                p.attributed(tier),
-            );
-        }
-        if p.dirty_rate().count() > 0 {
-            m.histogram("profile_dirty_rate", p.dirty_rate());
-        }
-        let pages = p.page_buckets();
-        if !pages.is_empty() {
-            let mut h = Histogram::new();
-            for (_, cycles) in &pages {
-                h.record(*cycles);
-            }
-            m.histogram("profile_page_cycles", &h);
-        }
-        let blocks = self.superblock_profiles();
-        if !blocks.is_empty() {
-            m.counter("hot_superblocks", blocks.len() as u64);
-            let mut cyc = Histogram::new();
-            let mut execs = Histogram::new();
-            for b in &blocks {
-                cyc.record(b.cycles_retired);
-                execs.record(b.executions);
-            }
-            m.histogram("superblock_cycles_retired", &cyc);
-            m.histogram("superblock_executions", &execs);
-        }
     }
 
     /// General register `i` (0–15; 15 is the PC).
@@ -699,72 +654,60 @@ impl Machine {
         self.halted
     }
 
-    /// Enables the PC trace ring, keeping the most recent `capacity`
-    /// instruction addresses — a debugging aid for guest crashes.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some((VecDeque::with_capacity(capacity), capacity));
+    // ---- the observability sink (vax-obs) ----
+
+    /// The one observability switch: installs `sink`, discarding what
+    /// the old one collected. Switching on ([`ObsSink::on`]) starts the
+    /// sampler on this machine's clock and resets the profiler's
+    /// working-set view of memory ([`PhysMemory::clear_touched_pages`]);
+    /// [`ObsSink::Off`] turns exit tracing, profiling and the PC window
+    /// off together. Observational only: the sink reads the clock and
+    /// PC, never feeds anything back, so architectural state, cycles,
+    /// and counters stay bit-identical — the equivalence fuzzers enforce
+    /// this for all three tiers.
+    pub fn set_obs(&mut self, mut sink: ObsSink) {
+        if let ObsSink::On(o) = &mut sink {
+            o.start(self.cycles);
+            self.mem.clear_touched_pages();
+        }
+        self.obs = sink;
     }
 
-    /// The most recent instruction addresses (oldest first), if tracing
-    /// is enabled.
+    /// The sink's collected state, when it is on.
+    pub fn obs(&self) -> Option<&Obs> {
+        self.obs.state()
+    }
+
+    /// The most recent instruction addresses (oldest first), while the
+    /// sink is on — a debugging aid for guest crashes.
     pub fn recent_pcs(&self) -> Vec<u32> {
-        self.trace
-            .as_ref()
-            .map(|(ring, _)| ring.iter().copied().collect())
-            .unwrap_or_default()
+        self.obs().map(Obs::recent_pcs).unwrap_or_default()
     }
 
-    // ---- profiling (vax-prof) ----
-
-    /// Enables cycle-attributed profiling, sampling every
-    /// `sample_interval` simulated cycles, and resets the profiler's
-    /// working-set view of memory ([`PhysMemory::clear_touched_pages`]).
-    /// Re-enabling resets both. Observational only: the profiler reads
-    /// the clock and PC, never feeds anything back, so architectural
-    /// state, cycles, and counters stay bit-identical — the equivalence
-    /// fuzzers enforce this for all three tiers.
-    pub fn enable_profiling(&mut self, sample_interval: u64) {
-        self.prof = ProfSink::on(sample_interval, self.cycles);
-        self.mem.clear_touched_pages();
-        self.trans.clear_profiles();
-    }
-
-    /// Disables profiling, dropping its state (including per-superblock
-    /// profiles). Memory's views are left as they are.
-    pub fn disable_profiling(&mut self) {
-        self.prof = ProfSink::Off;
-        self.trans.clear_profiles();
-    }
-
-    /// Whether profiling is enabled.
-    pub fn profiling_enabled(&self) -> bool {
-        self.prof.is_on()
-    }
-
-    /// The profiler state, when enabled.
-    pub fn prof(&self) -> Option<&Prof> {
-        self.prof.state()
-    }
-
-    /// Records one retiring instruction with the profiler: a discriminant
-    /// test when off; when on, an array add plus a deadline compare, with
-    /// the interval-sample slow path also polling working-set progress.
-    /// The profiler's view is reset only when profiling is enabled, so
-    /// its size is the count of pages first written since then.
+    /// Opens an exit record (a no-op when the sink is off): `cause` as
+    /// classified at the VMM's exit seam, the guest PC and virtual ring
+    /// at exit, and the simulated time `start` the exit began at.
     #[inline]
-    pub(crate) fn prof_retire(&mut self, tier: ProfTier, pc: u32) {
-        if let ProfSink::On(p) = &mut self.prof {
-            if p.observe(tier, pc, self.cycles) {
-                p.note_dirty(u64::from(self.mem.touched_page_count()));
-            }
+    pub fn obs_exit_begin(&mut self, cause: ExitCause, guest_pc: u32, ring: u8, start: u64) {
+        if let ObsSink::On(o) = &mut self.obs {
+            o.exit_begin(cause, guest_pc, ring, start);
         }
     }
 
-    /// Records a superblock lifecycle event with the profiler, if on.
+    /// Re-classifies the exit in flight (a no-op when the sink is off).
     #[inline]
-    pub(crate) fn prof_event(&mut self, kind: ProfEventKind, pa: u32, arg: u32) {
-        if let ProfSink::On(p) = &mut self.prof {
-            p.note_event(kind, pa, arg, self.cycles);
+    pub fn obs_refine(&mut self, cause: ExitCause) {
+        if let ObsSink::On(o) = &mut self.obs {
+            o.refine(cause);
+        }
+    }
+
+    /// Closes the exit in flight at the current simulated time (a no-op
+    /// when the sink is off).
+    #[inline]
+    pub fn obs_exit_end(&mut self) {
+        if let ObsSink::On(o) = &mut self.obs {
+            o.exit_end(self.cycles);
         }
     }
 
@@ -919,7 +862,7 @@ impl Machine {
             let n = (len - done)
                 .min(PAGE_BYTES - s.byte_offset())
                 .min(PAGE_BYTES - d.byte_offset());
-            let fast = if self.icache_enabled {
+            let fast = if self.exec_tier != ExecTier::Interp {
                 self.string_chunk_pas(s, d, n, mode)
             } else {
                 None
@@ -1127,11 +1070,9 @@ impl Machine {
                     Some(e) => {
                         self.icache.invalidate_page(e.pfn);
                         self.trans.invalidate_page(e.pfn);
-                        self.prof_event(
-                            ProfEventKind::Invalidate,
-                            e.pfn << vax_arch::PAGE_SHIFT,
-                            1,
-                        );
+                        if let ObsSink::On(o) = &mut self.obs {
+                            o.sb_invalidate(Some(e.pfn), self.cycles);
+                        }
                     }
                     None => self.invalidate_code_caches(),
                 }
@@ -1231,7 +1172,6 @@ impl Machine {
         }
 
         let pc = self.regs[15];
-        self.trace_push(pc);
         let cycles_before = self.cycles;
         let instrs_before = self.counters.instructions;
         let event = self.execute_one();
@@ -1239,30 +1179,25 @@ impl Machine {
         // Advance time-based devices by the cycles actually consumed.
         let delta = (self.cycles - cycles_before).max(1);
         self.post_instruction_tick(delta);
-        // Attribution is by retire path: a Trans-tier machine retiring
-        // here went through the (decode-cached) interpreter. Faulting
-        // or exiting instructions don't retire; their cycles fold into
-        // the next sample's delta.
-        if self.counters.instructions != instrs_before {
-            let tier = if self.icache_enabled {
-                ProfTier::Cache
-            } else {
-                ProfTier::Interp
+        // The sink: one discriminant test when off. Attribution is by
+        // retire path: a Trans-tier machine retiring here went through
+        // the (decode-cached) interpreter. Faulting or exiting
+        // instructions don't retire (their cycles fold into the next
+        // sample's delta), but their PCs join the window. The profiler's
+        // view of memory is reset when the sink is switched on, so its
+        // size counts the pages first written since then.
+        if let ObsSink::On(o) = &mut self.obs {
+            let tier = match self.exec_tier {
+                ExecTier::Interp => ProfTier::Interp,
+                ExecTier::Cache | ExecTier::Trans => ProfTier::Cache,
             };
-            self.prof_retire(tier, pc);
+            let retired = self.counters.instructions != instrs_before;
+            let mem = &self.mem;
+            o.step(pc, retired.then_some(tier), self.cycles, || {
+                u64::from(mem.touched_page_count())
+            });
         }
         event
-    }
-
-    /// Records a retiring instruction's PC in the trace ring, if tracing
-    /// is enabled. Shared by the interpreter and translated tiers.
-    pub(crate) fn trace_push(&mut self, pc: u32) {
-        if let Some((ring, cap)) = &mut self.trace {
-            if ring.len() == *cap {
-                ring.pop_front();
-            }
-            ring.push_back(pc);
-        }
     }
 
     /// Advances time-based devices by `delta` cycles after an instruction

@@ -75,6 +75,7 @@ use crate::machine::Machine;
 use crate::uop::{lower, AluOp, Dst, Ea, MovXf, Src, Uop, UopKind, MAX_BLOCK_UOPS};
 use std::sync::Arc;
 use vax_arch::{Psl, VirtAddr, PAGE_BYTES, PAGE_SHIFT};
+use vax_obs::{ObsSink, ProfTier};
 
 /// Translation-cache slot count; a power of two with at least one page of
 /// slots (so per-page invalidation scans a contiguous range).
@@ -183,40 +184,6 @@ struct TransEntry {
     succ: Option<u32>,
 }
 
-/// Per-superblock introspection record — one row of the ranked hot-block
-/// table. Only maintained while the machine is profiling (the cache's
-/// profile map is empty otherwise, so the bookkeeping is free when off);
-/// rows are cumulative per entry PA and survive invalidation and
-/// retranslation so churn is visible in `translations`/`invalidations`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SuperblockProfile {
-    /// Entry physical address of the block.
-    pub entry_pa: u32,
-    /// µop count at the most recent translation.
-    pub len: u16,
-    /// Decode-cache heat at the most recent translation.
-    pub heat: u32,
-    /// Times this PA was (re)translated while profiling.
-    pub translations: u64,
-    /// Block executions that retired at least one µop.
-    pub executions: u64,
-    /// µops (== guest instructions) retired by this block.
-    pub uops_retired: u64,
-    /// Simulated cycles retired by this block.
-    pub cycles_retired: u64,
-    /// Executions cut short by a deliverable interrupt mid-block.
-    pub side_exit_interrupt: u64,
-    /// Executions that bailed to the interpreter pre-mutation.
-    pub side_exit_bail: u64,
-    /// Invalidations that killed this block (whole-cache or its page).
-    pub invalidations: u64,
-}
-
-/// Cap on tracked per-superblock profiles; a run hot in more distinct
-/// entry PAs than this keeps stats for the first [`SB_PROFILE_CAP`] and
-/// counts the rest in [`TransStats::blocks_translated`] only.
-const SB_PROFILE_CAP: usize = 8192;
-
 /// Direct-mapped cache of translated superblocks keyed by (entry physical
 /// address, entry virtual address, generation). An **empty** block is a
 /// negative marker: the PC is hot but its first instruction does not
@@ -230,9 +197,6 @@ pub(crate) struct TransCache {
     /// Generation counter: bumping it is an O(1) `invalidate_all`.
     gen: u32,
     stats: TransStats,
-    /// Per-superblock profiles keyed by entry PA; empty unless the
-    /// machine is profiling.
-    profiles: std::collections::HashMap<u32, SuperblockProfile>,
 }
 
 impl TransCache {
@@ -244,7 +208,6 @@ impl TransCache {
                 .unwrap_or_else(|_| unreachable!()),
             gen: 0,
             stats: TransStats::default(),
-            profiles: std::collections::HashMap::new(),
         }
     }
 
@@ -312,10 +275,6 @@ impl TransCache {
         if self.gen == 0 {
             self.slots.fill(None);
         }
-        // Free when not profiling (empty map).
-        for p in self.profiles.values_mut() {
-            p.invalidations += 1;
-        }
     }
 
     /// Invalidates all blocks whose entry lies in physical page `pfn`
@@ -333,11 +292,6 @@ impl TransCache {
             }
         }
         self.stats.invalidations += 1;
-        for p in self.profiles.values_mut() {
-            if p.entry_pa >> PAGE_SHIFT == pfn {
-                p.invalidations += 1;
-            }
-        }
     }
 
     pub fn stats(&self) -> TransStats {
@@ -355,64 +309,6 @@ impl TransCache {
             UopBail::PageCross => self.stats.side_exit_page_cross += 1,
             UopBail::Io => self.stats.side_exit_io += 1,
         }
-    }
-
-    // ---- per-superblock profiling (populated only while profiling) ----
-
-    /// Records a (re)translation at `pa` into its profile row.
-    pub(crate) fn note_translate(&mut self, pa: u32, len: u16, heat: u32) {
-        if self.profiles.len() >= SB_PROFILE_CAP && !self.profiles.contains_key(&pa) {
-            return;
-        }
-        let p = self.profiles.entry(pa).or_default();
-        p.entry_pa = pa;
-        p.len = len;
-        p.heat = heat;
-        p.translations += 1;
-    }
-
-    /// Records one block execution at `pa` into its profile row.
-    pub(crate) fn note_block_exec(
-        &mut self,
-        pa: u32,
-        uops: u64,
-        cycles: u64,
-        bailed: bool,
-        interrupted: bool,
-    ) {
-        // Entry may be absent past the cap, or when profiling was enabled
-        // after the block was translated — count it then, heat/len 0.
-        if self.profiles.len() >= SB_PROFILE_CAP && !self.profiles.contains_key(&pa) {
-            return;
-        }
-        let p = self.profiles.entry(pa).or_default();
-        p.entry_pa = pa;
-        p.executions += 1;
-        p.uops_retired += uops;
-        p.cycles_retired += cycles;
-        if bailed {
-            p.side_exit_bail += 1;
-        }
-        if interrupted {
-            p.side_exit_interrupt += 1;
-        }
-    }
-
-    /// The hot-block table: every tracked profile ranked by cycles
-    /// retired (descending), ties broken by entry PA for determinism.
-    pub fn profiles(&self) -> Vec<SuperblockProfile> {
-        let mut out: Vec<SuperblockProfile> = self.profiles.values().copied().collect();
-        out.sort_by(|a, b| {
-            b.cycles_retired
-                .cmp(&a.cycles_retired)
-                .then(a.entry_pa.cmp(&b.entry_pa))
-        });
-        out
-    }
-
-    /// Drops all per-superblock profiles (profiling toggled).
-    pub(crate) fn clear_profiles(&mut self) {
-        self.profiles.clear();
     }
 }
 
@@ -472,8 +368,8 @@ impl Machine {
                 executed_any = true;
                 self.trans.stats.blocks_executed += 1;
                 self.trans.stats.uops_executed += executed;
-                if self.prof.is_on() {
-                    self.trans.note_block_exec(
+                if let ObsSink::On(o) = &mut self.obs {
+                    o.sb_exec(
                         pa,
                         executed,
                         self.cycles - cycles_at_entry,
@@ -543,14 +439,18 @@ impl Machine {
                 break;
             }
             // Retire exactly as `Machine::step` + `execute_one` would:
-            // trace push of the instruction's PC, instruction counter,
-            // the folded cycle charge, then timer/TODR/bus ticks.
-            self.trace_push(cur_pc);
+            // instruction counter, the folded cycle charge, then
+            // timer/TODR/bus ticks, then the sink.
             executed += 1;
             self.counters.instructions += 1;
             self.cycles += u64::from(u.cyc);
             let deliverable = self.post_instruction_tick(u64::from(u.cyc).max(1));
-            self.prof_retire(vax_obs::ProfTier::Trans, cur_pc);
+            if let ObsSink::On(o) = &mut self.obs {
+                let mem = &self.mem;
+                o.step(cur_pc, Some(ProfTier::Trans), self.cycles, || {
+                    u64::from(mem.touched_page_count())
+                });
+            }
             if u.store && self.mem.has_dirty_code() {
                 // The retired store rewrote a tracked code page; the
                 // rest of this block (and any chained successor) may
@@ -636,14 +536,9 @@ impl Machine {
             self.mem.note_code_page(page);
             self.trans.stats.blocks_translated += 1;
             self.trans.stats.len_hist[uops.len().min(MAX_BLOCK_UOPS)] += 1;
-            if self.prof.is_on() {
+            if let ObsSink::On(o) = &mut self.obs {
                 let heat = self.icache.heat(entry_pa);
-                self.trans.note_translate(entry_pa, uops.len() as u16, heat);
-                self.prof_event(
-                    vax_obs::ProfEventKind::Translate,
-                    entry_pa,
-                    uops.len() as u32,
-                );
+                o.sb_translate(entry_pa, uops.len() as u16, heat, self.cycles);
             }
         }
         self.trans.insert(entry_pa, entry_va, uops.into());

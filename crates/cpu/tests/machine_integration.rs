@@ -4,6 +4,7 @@
 use vax_arch::{AccessMode, Ipr, MachineVariant, Opcode, Protection, Psl, Pte, ScbVector, VmPsl};
 use vax_asm::{assemble_text, Asm, Operand};
 use vax_cpu::{HaltReason, Machine, StepEvent, VmExit};
+use vax_obs::{ObsSink, DEFAULT_SAMPLE_INTERVAL, PC_WINDOW};
 
 const SCB_PA: u32 = 0x6000;
 const SPT_PA: u32 = 0x7000;
@@ -653,18 +654,26 @@ fn probevm_is_reserved_on_standard_vax() {
 
 #[test]
 fn trace_ring_records_recent_pcs() {
+    // One more CLRL (2 bytes each) than the window holds, then HALT.
+    let src: String = "clrl r0\n".repeat(PC_WINDOW + 1) + "halt";
     let mut m = Machine::new(MachineVariant::Standard, 64 * 1024);
-    let p = assemble_text("movl #1, r0\n movl #2, r1\n movl #3, r2\n halt", 0x1000).unwrap();
+    let p = assemble_text(&src, 0x1000).unwrap();
     m.mem_mut().write_slice(0x1000, &p.bytes).unwrap();
-    m.enable_trace(2);
+    assert!(m.recent_pcs().is_empty(), "no window while the sink is off");
+    m.set_obs(ObsSink::on(1, DEFAULT_SAMPLE_INTERVAL));
     let mut psl = Psl::new();
     psl.set_ipl(31);
     m.set_psl(psl);
     m.set_pc(0x1000);
     while m.step() == StepEvent::Ok {}
     let pcs = m.recent_pcs();
-    assert_eq!(pcs.len(), 2, "ring bounded at its capacity");
-    assert_eq!(*pcs.last().unwrap(), 0x1009, "the HALT was traced last");
+    assert_eq!(pcs.len(), PC_WINDOW, "window bounded at its depth");
+    let halt = 0x1000 + 2 * (PC_WINDOW as u32 + 1);
+    assert_eq!(*pcs.last().unwrap(), halt, "the HALT was traced last");
+    let want: Vec<u32> = (0..PC_WINDOW as u32)
+        .map(|i| halt - 2 * (PC_WINDOW as u32 - 1 - i))
+        .collect();
+    assert_eq!(pcs, want, "the newest PCs, oldest first");
 }
 
 #[test]

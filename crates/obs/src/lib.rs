@@ -3,7 +3,8 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 //! Observability for the VAX VMM: exit-reason tracing, per-cause
-//! cycle-cost histograms, and a metrics exposition layer.
+//! cycle-cost histograms, cycle-attributed guest profiling, and a
+//! metrics exposition layer — collected in one sink behind one switch.
 //!
 //! The paper's whole evaluation (§7) is an attribution exercise: how many
 //! simulated cycles went to which VM-exit cause (MTPR-to-IPL emulation at
@@ -11,14 +12,18 @@
 //! switches, the §7.2 shadow-fill reduction). This crate provides the
 //! raw machinery for producing those numbers from any run:
 //!
-//! * [`ExitCause`] — the taxonomy of reasons control leaves a VM;
-//! * [`TraceRing`] — a bounded, preallocated ring of [`TraceRecord`]s
-//!   (cause, guest PC, virtual ring, simulated-cycle timestamp, cost);
-//! * [`Histogram`] — log2-bucket latency histograms, one per cause,
-//!   measuring emulation cost from exit to resume;
-//! * [`ObsSink`] — the enum-dispatch collection point the VMM calls at
-//!   its exit/resume seams. `ObsSink::Off` makes every call a no-op so
-//!   disabled tracing costs (almost) nothing and allocates nothing;
+//! * [`ObsSink`] — the one collection point. A machine owns one; its
+//!   retire path and the VMM's exit seams feed it. `ObsSink::Off` makes
+//!   every hook a single discriminant test and allocates nothing;
+//!   `ObsSink::On` holds an [`Obs`]:
+//!   * a [`TraceRing`] — one bounded, preallocated ring of
+//!     [`TraceRecord`]s, VM exits and superblock lifecycle events in
+//!     push (simulated-time) order;
+//!   * one [`Histogram`] per [`ExitCause`] — log2-bucket emulation cost
+//!     from exit to resume;
+//!   * a [`Prof`] — the interval sampler attributing simulated cycles to
+//!     `(tier, PC)`, plus the per-superblock hot-block table;
+//!   * a window of the last [`PC_WINDOW`] instruction addresses;
 //! * [`Metrics`] — a snapshot registry rendering counters and histograms
 //!   as JSON or Prometheus text exposition, plus [`chrome_trace`] for
 //!   Chrome `about:tracing` / Perfetto timeline viewing.
@@ -30,12 +35,13 @@
 //! # Example
 //!
 //! ```
-//! use vax_obs::{ExitCause, ObsSink};
+//! use vax_obs::{ExitCause, ObsSink, DEFAULT_SAMPLE_INTERVAL};
 //!
-//! let mut sink = ObsSink::on(16);
-//! sink.exit_begin(ExitCause::EmulMtprIpl, 0x1000, 0, 100);
-//! sink.exit_end(190); // resume 90 simulated cycles later
-//! let obs = sink.state().unwrap();
+//! let ObsSink::On(mut obs) = ObsSink::on(16, DEFAULT_SAMPLE_INTERVAL) else {
+//!     unreachable!("`on` builds the enabled sink")
+//! };
+//! obs.exit_begin(ExitCause::EmulMtprIpl, 0x1000, 0, 100);
+//! obs.exit_end(190); // resume 90 simulated cycles later
 //! assert_eq!(obs.histogram(ExitCause::EmulMtprIpl).count(), 1);
 //! assert_eq!(obs.histogram(ExitCause::EmulMtprIpl).sum(), 90);
 //! ```
@@ -49,9 +55,7 @@ pub mod sink;
 
 pub use cause::ExitCause;
 pub use hist::Histogram;
-pub use metrics::{chrome_trace, chrome_trace_with_events, Metrics};
-pub use prof::{
-    PcBucket, Prof, ProfEvent, ProfEventKind, ProfSink, ProfTier, DEFAULT_SAMPLE_INTERVAL,
-};
-pub use ring::{TraceRecord, TraceRing};
-pub use sink::{Obs, ObsSink};
+pub use metrics::{chrome_trace, Metrics};
+pub use prof::{PcBucket, Prof, ProfTier, SuperblockProfile, DEFAULT_SAMPLE_INTERVAL};
+pub use ring::{SuperblockEvent, TraceEvent, TraceRecord, TraceRing};
+pub use sink::{Obs, ObsSink, PC_WINDOW};

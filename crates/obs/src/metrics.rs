@@ -7,8 +7,7 @@
 //! exposition layer never touches live VMM state and needs no deps.
 
 use crate::hist::Histogram;
-use crate::prof::ProfEvent;
-use crate::ring::TraceRecord;
+use crate::ring::{TraceEvent, TraceRecord};
 
 /// A snapshot of counters, gauges, and histograms ready for exposition.
 #[derive(Debug, Clone, Default)]
@@ -347,8 +346,8 @@ fn prom_help(name: &str) -> &'static str {
         "vmm_cycles" => "Cycles charged to VMM software emulation paths",
         "vm_exits" => "Guest-to-VMM exits of all causes",
         "world_switches" => "VM world switches performed by the monitor",
-        "trace_records" => "Exit-trace records captured in the ring",
-        "trace_records_dropped" => "Exit-trace records dropped at ring capacity",
+        "trace_records" => "Exit and superblock events pushed to the trace ring",
+        "trace_records_dropped" => "Trace-ring records overwritten at ring capacity",
         "fleet_monitors" => "Monitors aggregated into this registry",
         "tlb_hit_rate" => "TLB hits over lookups, point-in-time",
         "exec_tier" => "1 for the execution tier in effect, else 0 (fleet: members per tier)",
@@ -370,11 +369,10 @@ fn prom_help(name: &str) -> &'static str {
         "trans_invalidations" => "Translation-cache invalidation events",
         "profile_samples" => "Profiler interval samples taken",
         "profile_overflow_cycles" => "Sampled cycles past the PC-bucket cap",
-        "profile_events_dropped" => "Superblock lifecycle events dropped at cap",
         "profile_dirty_rate" => "Pages newly dirtied per profiler sampling interval",
         "profile_page_cycles" => "Sampled cycles attributed per guest page",
         "dirty_pages" => "Distinct pages written since the delta chain's last drain",
-        "touched_pages" => "Distinct pages written since profiling was last enabled",
+        "touched_pages" => "Distinct pages written since the obs sink was last switched on",
         "dirty_page_events" => "Monotonic count of pages entering the profiler's working set",
         "modify_faults" => "Guest modify faults taken via the shadow tables",
         "dirty_upgrades" => "Shadow PTEs upgraded to writable after a modify fault",
@@ -411,58 +409,44 @@ fn prom_help(name: &str) -> &'static str {
     }
 }
 
-/// Renders traced exits as Chrome trace-event JSON (the `about:tracing` /
-/// Perfetto format): one complete (`ph: "X"`) event per record, with
-/// `ts` = exit-start simulated cycles and `dur` = exit-to-resume cost.
-/// The virtual ring at exit time becomes the `tid`, so the timeline
-/// groups exits by the mode the guest believed it was in.
+/// Renders ring records as Chrome trace-event JSON (the `about:tracing`
+/// / Perfetto format), in the order given — oldest first for
+/// [`crate::TraceRing::iter`], so exits and superblock events share one
+/// simulated-cycle timeline. An exit becomes a complete (`ph: "X"`) event
+/// with `ts` = exit-start cycles and `dur` = exit-to-resume cost, on the
+/// `tid` of the virtual ring at exit, so the timeline groups exits by the
+/// mode the guest believed it was in. A superblock event becomes an
+/// instant (`ph: "i"`) event on its own `tid` (99).
 pub fn chrome_trace<'a, I>(records: I) -> String
-where
-    I: IntoIterator<Item = &'a TraceRecord>,
-{
-    chrome_trace_with_events(records, &[])
-}
-
-/// [`chrome_trace`] plus superblock lifecycle events from the profiler:
-/// each [`ProfEvent`] becomes an instant (`ph: "i"`) event on its own
-/// `tid` (99) so translate / invalidate / SMC-drain activity lines up on
-/// the same simulated-cycle timeline as the VM exits.
-pub fn chrome_trace_with_events<'a, I>(records: I, events: &[ProfEvent]) -> String
 where
     I: IntoIterator<Item = &'a TraceRecord>,
 {
     let mut out = String::with_capacity(1024);
     out.push_str("{\"traceEvents\": [");
-    let mut first = true;
-    for rec in records {
-        if !first {
+    for (i, rec) in records.into_iter().enumerate() {
+        if i > 0 {
             out.push(',');
         }
-        first = false;
-        out.push_str(&format!(
-            "\n  {{\"name\": \"{}\", \"cat\": \"vmexit\", \"ph\": \"X\", \"ts\": {}, \
-             \"dur\": {}, \"pid\": 0, \"tid\": {}, \"args\": {{\"pc\": \"{:#010x}\"}}}}",
-            rec.cause.name(),
-            rec.start_cycles,
-            rec.cost_cycles,
-            rec.ring,
-            rec.guest_pc
-        ));
-    }
-    for ev in events {
-        if !first {
-            out.push(',');
+        match rec.event {
+            TraceEvent::Exit {
+                cause,
+                ring,
+                guest_pc,
+            } => out.push_str(&format!(
+                "\n  {{\"name\": \"{}\", \"cat\": \"vmexit\", \"ph\": \"X\", \"ts\": {}, \
+                 \"dur\": {}, \"pid\": 0, \"tid\": {ring}, \"args\": {{\"pc\": \"{guest_pc:#010x}\"}}}}",
+                cause.name(),
+                rec.start_cycles,
+                rec.cost_cycles,
+            )),
+            TraceEvent::Superblock { kind, pa, arg } => out.push_str(&format!(
+                "\n  {{\"name\": \"{}\", \"cat\": \"superblock\", \"ph\": \"i\", \"s\": \"t\", \
+                 \"ts\": {}, \"pid\": 0, \"tid\": 99, \
+                 \"args\": {{\"pa\": \"{pa:#010x}\", \"arg\": {arg}}}}}",
+                kind.name(),
+                rec.start_cycles,
+            )),
         }
-        first = false;
-        out.push_str(&format!(
-            "\n  {{\"name\": \"{}\", \"cat\": \"superblock\", \"ph\": \"i\", \"s\": \"t\", \
-             \"ts\": {}, \"pid\": 0, \"tid\": 99, \
-             \"args\": {{\"pa\": \"{:#010x}\", \"arg\": {}}}}}",
-            ev.kind.name(),
-            ev.cycles,
-            ev.pa,
-            ev.arg
-        ));
     }
     out.push_str("\n], \"displayTimeUnit\": \"ns\"}\n");
     out
@@ -752,60 +736,66 @@ mod tests {
         assert!(text.contains("# HELP vax_vaxd_requests_total Serving requests received"));
     }
 
+    fn exit(cause: ExitCause, ring: u8, guest_pc: u32, start: u64, cost: u64) -> TraceRecord {
+        TraceRecord {
+            event: TraceEvent::Exit {
+                cause,
+                ring,
+                guest_pc,
+            },
+            start_cycles: start,
+            cost_cycles: cost,
+        }
+    }
+
+    /// One ring holding exits and superblock events renders them in one
+    /// array, oldest first, each kind in its own shape.
     #[test]
-    fn chrome_trace_includes_superblock_lifecycle_events() {
-        use crate::prof::{ProfEvent, ProfEventKind};
-        let recs = [TraceRecord {
-            cause: ExitCause::EmulMtprIpl,
-            ring: 0,
-            guest_pc: 0x1000,
-            start_cycles: 100,
-            cost_cycles: 90,
-        }];
-        let events = [
-            ProfEvent {
-                kind: ProfEventKind::Translate,
-                pa: 0x2000,
-                arg: 12,
-                cycles: 50,
-            },
-            ProfEvent {
-                kind: ProfEventKind::SmcDrain,
-                pa: 0x2000,
-                arg: 16,
-                cycles: 400,
-            },
-        ];
-        let t = chrome_trace_with_events(recs.iter(), &events);
-        assert!(t.contains("\"name\": \"sb_translate\""));
-        assert!(t.contains("\"name\": \"sb_smc_drain\""));
-        assert!(t.contains("\"cat\": \"superblock\""));
-        assert!(t.contains("\"ph\": \"i\""));
-        assert!(t.contains("\"pa\": \"0x00002000\""));
+    fn chrome_trace_renders_one_ring_oldest_first() {
+        use crate::ring::{SuperblockEvent, TraceRing};
+        let sb = |kind, pa, arg, at| TraceRecord {
+            event: TraceEvent::Superblock { kind, pa, arg },
+            start_cycles: at,
+            cost_cycles: 0,
+        };
+        let mut ring = TraceRing::new(3);
+        for rec in [
+            sb(SuperblockEvent::Translate, 0x2000, 12, 50),
+            exit(ExitCause::EmulMtprIpl, 0, 0x1000, 100, 90),
+            sb(SuperblockEvent::Invalidate, 0, 0, 150),
+            sb(SuperblockEvent::SmcDrain, 0x2000, 16, 400),
+        ] {
+            ring.push(rec);
+        }
+        let t = chrome_trace(ring.iter());
+        let names: Vec<&str> = t
+            .match_indices("\"name\": \"")
+            .map(|(i, m)| {
+                let rest = &t[i + m.len()..];
+                &rest[..rest.find('"').unwrap()]
+            })
+            .collect();
+        assert_eq!(
+            names,
+            ["emul_mtpr_ipl", "sb_invalidate", "sb_smc_drain"],
+            "one array, oldest first, the evicted translate gone: {t}"
+        );
+        assert!(t.starts_with("{\"traceEvents\": [\n  {\"name\": \"emul_mtpr_ipl\", \"cat\": \"vmexit\", \"ph\": \"X\", \"ts\": 100, \"dur\": 90"));
+        assert!(t.contains("\"cat\": \"superblock\", \"ph\": \"i\", \"s\": \"t\", \"ts\": 400"));
+        assert!(t.contains("\"pa\": \"0x00002000\", \"arg\": 16"));
+        assert_eq!(
+            t.matches("\"dur\"").count(),
+            1,
+            "only exits have a duration"
+        );
         assert_eq!(t.matches('{').count(), t.matches('}').count());
-        // Events-only export (no exit records) still renders valid JSON.
-        let none: [TraceRecord; 0] = [];
-        let only = chrome_trace_with_events(none.iter(), &events);
-        assert!(only.starts_with("{\"traceEvents\": [\n  {\"name\": \"sb_translate\""));
     }
 
     #[test]
     fn chrome_trace_events() {
         let recs = [
-            TraceRecord {
-                cause: ExitCause::EmulMtprIpl,
-                ring: 0,
-                guest_pc: 0x8000_1000,
-                start_cycles: 100,
-                cost_cycles: 90,
-            },
-            TraceRecord {
-                cause: ExitCause::ShadowFill,
-                ring: 3,
-                guest_pc: 0x200,
-                start_cycles: 400,
-                cost_cycles: 320,
-            },
+            exit(ExitCause::EmulMtprIpl, 0, 0x8000_1000, 100, 90),
+            exit(ExitCause::ShadowFill, 3, 0x200, 400, 320),
         ];
         let t = chrome_trace(recs.iter());
         assert!(t.contains("\"name\": \"emul_mtpr_ipl\""));

@@ -8,8 +8,8 @@
 //! # Sampling model
 //!
 //! The profiler is driven from the CPU's retire path on the **simulated**
-//! clock. Every retiring instruction (or µop) makes one cheap
-//! [`Prof::observe`] call: an array increment plus a compare against the
+//! clock, through the sink ([`crate::Obs::step`]). Every retiring
+//! instruction (or µop) costs an array increment plus a compare against the
 //! next sample deadline. When the simulated clock crosses the deadline,
 //! the *entire* cycle delta since the previous sample is attributed to
 //! the sampled `(tier, PC)` bucket — so the attributed totals tile the
@@ -19,13 +19,14 @@
 //!
 //! # Non-perturbation contract
 //!
-//! Like [`crate::ObsSink`], the profiler only ever *reads* the simulated
-//! clock and PC; it never feeds anything back into execution. Enabling
+//! Like the rest of [`crate::ObsSink`], the profiler only ever *reads*
+//! the simulated clock and PC; it never feeds anything back into execution. Enabling
 //! it must leave architectural state, cycles, and counters bit-identical
 //! — the repo's equivalence fuzzers enforce this for all three execution
 //! tiers.
 
 use crate::hist::Histogram;
+use crate::metrics::Metrics;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -40,9 +41,12 @@ pub const DEFAULT_SAMPLE_INTERVAL: u64 = 1024;
 /// silently dropped.
 const MAX_BUCKETS: usize = 65_536;
 
-/// Cap on retained lifecycle events; later events bump
-/// [`Prof::events_dropped`] instead of growing without bound.
-const MAX_EVENTS: usize = 65_536;
+/// Cap on tracked per-superblock profiles; a run hot in more distinct
+/// entry PAs than this keeps stats for the first [`SB_PROFILE_CAP`].
+const SB_PROFILE_CAP: usize = 8192;
+
+/// log2 of the VAX page size, for rolling PCs up into pages.
+pub(crate) const PAGE_SHIFT: u32 = 9;
 
 /// One-multiply mixer for the bucket map. The keys are packed
 /// `(tier, pc)` pairs the profiler controls entirely, so the std
@@ -127,41 +131,31 @@ impl ProfTier {
     }
 }
 
-/// What happened to a translated superblock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProfEventKind {
-    /// A superblock was formed at `pa` (`arg` = µop count).
-    Translate,
-    /// Translated blocks were invalidated (`arg` = 1 if targeted at the
-    /// page containing `pa`, 0 for a whole-cache invalidation).
-    Invalidate,
-    /// A self-modifying-code drain killed the blocks in page `arg`
-    /// (`pa` = the page's base physical address).
-    SmcDrain,
-}
-
-impl ProfEventKind {
-    /// Stable name for trace exports.
-    pub fn name(self) -> &'static str {
-        match self {
-            ProfEventKind::Translate => "sb_translate",
-            ProfEventKind::Invalidate => "sb_invalidate",
-            ProfEventKind::SmcDrain => "sb_smc_drain",
-        }
-    }
-}
-
-/// One superblock lifecycle event on the simulated timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProfEvent {
-    /// What happened.
-    pub kind: ProfEventKind,
-    /// Entry (or page base) physical address.
-    pub pa: u32,
-    /// Kind-specific argument (µop count / targeted flag / pfn).
-    pub arg: u32,
-    /// Simulated cycle count when it happened.
-    pub cycles: u64,
+/// Per-superblock introspection record — one row of the ranked hot-block
+/// table. Rows are cumulative per entry PA and survive invalidation and
+/// retranslation, so churn is visible in `translations`/`invalidations`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SuperblockProfile {
+    /// Entry physical address of the block.
+    pub entry_pa: u32,
+    /// µop count at the most recent translation.
+    pub len: u16,
+    /// Decode-cache heat at the most recent translation.
+    pub heat: u32,
+    /// Times this PA was (re)translated while profiling.
+    pub translations: u64,
+    /// Block executions that retired at least one µop.
+    pub executions: u64,
+    /// µops (== guest instructions) retired by this block.
+    pub uops_retired: u64,
+    /// Simulated cycles retired by this block.
+    pub cycles_retired: u64,
+    /// Executions cut short by a deliverable interrupt mid-block.
+    pub side_exit_interrupt: u64,
+    /// Executions that bailed to the interpreter pre-mutation.
+    pub side_exit_bail: u64,
+    /// Invalidations that killed this block (whole-cache or its page).
+    pub invalidations: u64,
 }
 
 /// One ranked row of the per-`(tier, PC)` cycle attribution.
@@ -175,8 +169,9 @@ pub struct PcBucket {
     pub cycles: u64,
 }
 
-/// Interval-sampling guest profiler state. Construct via
-/// [`ProfSink::on`]; drive via [`Prof::observe`] from the retire path.
+/// Interval-sampling guest profiler state plus the per-superblock
+/// hot-block table: the profiling half of an enabled
+/// [`crate::ObsSink`], which drives it from the retire path.
 #[derive(Debug, Clone)]
 pub struct Prof {
     interval: u64,
@@ -195,17 +190,19 @@ pub struct Prof {
     /// lives; the profiler differences it).
     dirty_seen: u64,
     dirty_rate: Histogram,
-    events: Vec<ProfEvent>,
-    events_dropped: u64,
+    /// Per-superblock profiles keyed by entry PA.
+    blocks: HashMap<u32, SuperblockProfile>,
 }
 
 impl Prof {
-    fn new(interval: u64, now: u64) -> Prof {
+    /// A profiler sampling every `interval` cycles from cycle 0 (see
+    /// [`Prof::start`]).
+    pub(crate) fn new(interval: u64) -> Prof {
         let interval = interval.max(1);
         Prof {
             interval,
-            last_attr: now,
-            next_sample: now + interval,
+            last_attr: 0,
+            next_sample: interval,
             samples: 0,
             retired: [0; ProfTier::COUNT],
             attributed: [0; ProfTier::COUNT],
@@ -213,9 +210,15 @@ impl Prof {
             overflow_cycles: 0,
             dirty_seen: 0,
             dirty_rate: Histogram::new(),
-            events: Vec::new(),
-            events_dropped: 0,
+            blocks: HashMap::new(),
         }
+    }
+
+    /// Starts the sampling clock at `now`: the first interval ends
+    /// `interval` cycles later.
+    pub(crate) fn start(&mut self, now: u64) {
+        self.last_attr = now;
+        self.next_sample = now + self.interval;
     }
 
     /// Observes one retiring instruction at `pc` on `tier` with the
@@ -223,7 +226,7 @@ impl Prof {
     /// fired (the caller may then report working-set progress via
     /// [`Prof::note_dirty`]).
     #[inline]
-    pub fn observe(&mut self, tier: ProfTier, pc: u32, now: u64) -> bool {
+    pub(crate) fn observe(&mut self, tier: ProfTier, pc: u32, now: u64) -> bool {
         self.retired[tier.index()] += 1;
         if now < self.next_sample {
             return false;
@@ -255,24 +258,59 @@ impl Prof {
     /// a sample boundary; the difference from the previous boundary is
     /// one entry in the per-interval dirty-rate histogram.
     #[inline]
-    pub fn note_dirty(&mut self, cumulative_dirty_events: u64) {
+    pub(crate) fn note_dirty(&mut self, cumulative_dirty_events: u64) {
         let newly = cumulative_dirty_events.saturating_sub(self.dirty_seen);
         self.dirty_seen = cumulative_dirty_events;
         self.dirty_rate.record(newly);
     }
 
-    /// Records a superblock lifecycle event.
-    pub fn note_event(&mut self, kind: ProfEventKind, pa: u32, arg: u32, cycles: u64) {
-        if self.events.len() >= MAX_EVENTS {
-            self.events_dropped += 1;
-            return;
+    /// The hot-block row for entry `pa`, or `None` past the table cap.
+    fn block(&mut self, pa: u32) -> Option<&mut SuperblockProfile> {
+        if self.blocks.len() >= SB_PROFILE_CAP && !self.blocks.contains_key(&pa) {
+            return None;
         }
-        self.events.push(ProfEvent {
-            kind,
-            pa,
-            arg,
-            cycles,
-        });
+        let p = self.blocks.entry(pa).or_default();
+        p.entry_pa = pa;
+        Some(p)
+    }
+
+    /// Records a (re)translation at `pa` into its hot-block row.
+    pub(crate) fn note_translate(&mut self, pa: u32, len: u16, heat: u32) {
+        if let Some(p) = self.block(pa) {
+            p.len = len;
+            p.heat = heat;
+            p.translations += 1;
+        }
+    }
+
+    /// Records one block execution at `pa` into its hot-block row. The
+    /// row may be new: the block was translated before profiling began
+    /// (its heat and length then read 0).
+    pub(crate) fn note_block_exec(
+        &mut self,
+        pa: u32,
+        uops: u64,
+        cycles: u64,
+        bailed: bool,
+        interrupted: bool,
+    ) {
+        if let Some(p) = self.block(pa) {
+            p.executions += 1;
+            p.uops_retired += uops;
+            p.cycles_retired += cycles;
+            p.side_exit_bail += u64::from(bailed);
+            p.side_exit_interrupt += u64::from(interrupted);
+        }
+    }
+
+    /// Counts an invalidation against the rows it killed: every row, or
+    /// (`Some(pfn)`) the rows entered in physical page `pfn`.
+    pub(crate) fn note_invalidate(&mut self, page: Option<u32>) {
+        for p in self.blocks.values_mut() {
+            if page.is_none_or(|pfn| p.entry_pa >> PAGE_SHIFT == pfn) {
+                p.invalidations += 1;
+            }
+        }
     }
 
     /// The sampling interval in simulated cycles.
@@ -311,14 +349,16 @@ impl Prof {
         &self.dirty_rate
     }
 
-    /// Superblock lifecycle events, oldest first.
-    pub fn events(&self) -> &[ProfEvent] {
-        &self.events
-    }
-
-    /// Lifecycle events dropped after the retention cap.
-    pub fn events_dropped(&self) -> u64 {
-        self.events_dropped
+    /// The hot-block table: every tracked superblock profile ranked by
+    /// cycles retired (descending), ties broken by entry PA.
+    pub fn superblocks(&self) -> Vec<SuperblockProfile> {
+        let mut out: Vec<SuperblockProfile> = self.blocks.values().copied().collect();
+        out.sort_by(|a, b| {
+            b.cycles_retired
+                .cmp(&a.cycles_retired)
+                .then(a.entry_pa.cmp(&b.entry_pa))
+        });
+        out
     }
 
     /// The `(tier, PC)` attribution ranked by cycles (descending), ties
@@ -347,7 +387,7 @@ impl Prof {
     pub fn page_buckets(&self) -> Vec<(u32, u64)> {
         let mut pages: HashMap<u32, u64> = HashMap::new();
         for (&(_, pc), &cycles) in &self.buckets {
-            *pages.entry(pc >> 9).or_insert(0) += cycles;
+            *pages.entry(pc >> PAGE_SHIFT).or_insert(0) += cycles;
         }
         let mut out: Vec<(u32, u64)> = pages.into_iter().collect();
         out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -363,7 +403,7 @@ impl Prof {
             out.push_str(&format!(
                 "guest;tier_{};page_0x{:05x};pc_0x{:08x} {}\n",
                 b.tier.name(),
-                b.pc >> 9,
+                b.pc >> PAGE_SHIFT,
                 b.pc,
                 b.cycles
             ));
@@ -373,43 +413,45 @@ impl Prof {
         }
         out
     }
-}
 
-/// Enum-dispatch profiler sink, mirroring [`crate::ObsSink`]: the CPU
-/// step loop holds one of these and the `Off` variant makes the retire
-/// hook a single discriminant test.
-#[derive(Debug, Clone, Default)]
-pub enum ProfSink {
-    /// Profiling disabled; every hook is a no-op.
-    #[default]
-    Off,
-    /// Profiling enabled; boxed so the machine stays small when off.
-    On(Box<Prof>),
-}
-
-impl ProfSink {
-    /// A disabled sink.
-    pub fn off() -> ProfSink {
-        ProfSink::Off
-    }
-
-    /// An enabled sink sampling every `interval` simulated cycles,
-    /// with the clock currently at `now`.
-    pub fn on(interval: u64, now: u64) -> ProfSink {
-        ProfSink::On(Box::new(Prof::new(interval, now)))
-    }
-
-    /// Whether profiling is enabled.
-    #[inline]
-    pub fn is_on(&self) -> bool {
-        matches!(self, ProfSink::On(_))
-    }
-
-    /// The profiler state, when enabled.
-    pub fn state(&self) -> Option<&Prof> {
-        match self {
-            ProfSink::Off => None,
-            ProfSink::On(p) => Some(p),
+    /// Renders the profile families: per-tier attribution counters,
+    /// page-level cycle and dirty-rate histograms, and the hot-block
+    /// table. All counters/histograms, so [`Metrics::merge`] produces
+    /// correct fleet-wide profiles.
+    pub(crate) fn metrics(&self, m: &mut Metrics) {
+        m.counter("profile_samples", self.samples);
+        m.counter("profile_overflow_cycles", self.overflow_cycles);
+        for tier in ProfTier::ALL {
+            m.counter(
+                &format!("profile_instructions_{}", tier.name()),
+                self.retired(tier),
+            );
+            m.counter(
+                &format!("profile_cycles_{}", tier.name()),
+                self.attributed(tier),
+            );
+        }
+        if self.dirty_rate.count() > 0 {
+            m.histogram("profile_dirty_rate", &self.dirty_rate);
+        }
+        let pages = self.page_buckets();
+        if !pages.is_empty() {
+            let mut h = Histogram::new();
+            for (_, cycles) in &pages {
+                h.record(*cycles);
+            }
+            m.histogram("profile_page_cycles", &h);
+        }
+        if !self.blocks.is_empty() {
+            m.counter("hot_superblocks", self.blocks.len() as u64);
+            let mut cyc = Histogram::new();
+            let mut execs = Histogram::new();
+            for b in self.blocks.values() {
+                cyc.record(b.cycles_retired);
+                execs.record(b.executions);
+            }
+            m.histogram("superblock_cycles_retired", &cyc);
+            m.histogram("superblock_executions", &execs);
         }
     }
 }
@@ -420,7 +462,7 @@ mod tests {
 
     #[test]
     fn sampling_attributes_whole_deltas() {
-        let mut p = Prof::new(100, 0);
+        let mut p = Prof::new(100);
         // 40 retires of 10 cycles each; samples fire when the clock
         // crosses 100, 200, 300, 400.
         let mut now = 0;
@@ -439,7 +481,7 @@ mod tests {
 
     #[test]
     fn attribution_tiles_across_tiers() {
-        let mut p = Prof::new(50, 0);
+        let mut p = Prof::new(50);
         p.observe(ProfTier::Interp, 0x100, 60); // sample: 60 to interp
         p.observe(ProfTier::Trans, 0x200, 130); // sample: 70 to trans
         p.observe(ProfTier::Trans, 0x200, 150); // no sample
@@ -451,7 +493,7 @@ mod tests {
 
     #[test]
     fn collapsed_stack_is_ranked_and_parseable() {
-        let mut p = Prof::new(1, 0);
+        let mut p = Prof::new(1);
         p.observe(ProfTier::Cache, 0x1000, 10);
         p.observe(ProfTier::Trans, 0x2000, 100);
         let text = p.collapsed_stack();
@@ -469,7 +511,7 @@ mod tests {
 
     #[test]
     fn page_buckets_roll_up_pcs() {
-        let mut p = Prof::new(1, 0);
+        let mut p = Prof::new(1);
         p.observe(ProfTier::Cache, 0x1000, 10);
         p.observe(ProfTier::Cache, 0x1004, 30); // same page, +20
         p.observe(ProfTier::Cache, 0x2000, 35); // other page, +5
@@ -479,7 +521,7 @@ mod tests {
 
     #[test]
     fn dirty_rate_differences_monotonic_counts() {
-        let mut p = Prof::new(1, 0);
+        let mut p = Prof::new(1);
         p.note_dirty(3);
         p.note_dirty(3);
         p.note_dirty(10);
@@ -489,18 +531,8 @@ mod tests {
     }
 
     #[test]
-    fn event_cap_counts_drops() {
-        let mut p = Prof::new(1, 0);
-        for i in 0..(MAX_EVENTS + 5) {
-            p.note_event(ProfEventKind::Translate, i as u32, 1, i as u64);
-        }
-        assert_eq!(p.events().len(), MAX_EVENTS);
-        assert_eq!(p.events_dropped(), 5);
-    }
-
-    #[test]
     fn bucket_cap_accumulates_overflow() {
-        let mut p = Prof::new(1, 0);
+        let mut p = Prof::new(1);
         let mut now = 0;
         for pc in 0..(MAX_BUCKETS as u32 + 3) {
             now += 1;
@@ -509,15 +541,5 @@ mod tests {
         assert_eq!(p.pc_buckets().len(), MAX_BUCKETS);
         assert_eq!(p.overflow_cycles(), 3);
         assert!(p.collapsed_stack().contains("guest;overflow 3\n"));
-    }
-
-    #[test]
-    fn sink_off_is_default_and_stateless() {
-        let s = ProfSink::default();
-        assert!(!s.is_on());
-        assert!(s.state().is_none());
-        let s = ProfSink::on(256, 1000);
-        assert!(s.is_on());
-        assert_eq!(s.state().map(|p| p.interval()), Some(256));
     }
 }

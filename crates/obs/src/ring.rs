@@ -1,27 +1,73 @@
-//! The bounded exit-trace ring buffer.
+//! The bounded event ring: VM exits and superblock lifecycle events on
+//! one simulated-time line.
 
 use crate::cause::ExitCause;
 
-/// One traced VM exit (or VMM event).
+/// What happened to a translated superblock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SuperblockEvent {
+    /// A superblock was formed at `pa` (`arg` = µop count).
+    Translate,
+    /// Translated blocks were invalidated (`arg` = 1 if targeted at the
+    /// page containing `pa`, 0 for a whole-cache invalidation).
+    Invalidate,
+    /// A self-modifying-code drain killed the blocks in page `arg`
+    /// (`pa` = the page's base physical address).
+    SmcDrain,
+}
+
+impl SuperblockEvent {
+    /// Stable name for trace exports.
+    pub fn name(self) -> &'static str {
+        match self {
+            SuperblockEvent::Translate => "sb_translate",
+            SuperblockEvent::Invalidate => "sb_invalidate",
+            SuperblockEvent::SmcDrain => "sb_smc_drain",
+        }
+    }
+}
+
+/// What one ring record describes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TraceEvent {
+    /// A VM exit (or a VMM event such as a world switch).
+    Exit {
+        /// Why control left the VM.
+        cause: ExitCause,
+        /// The VM's *virtual* ring (access-mode bits, 0 = kernel … 3 =
+        /// user) at exit time — the mode the guest believes it is in,
+        /// not the compressed real mode.
+        ring: u8,
+        /// Guest PC at exit (for faults and emulation traps this is the
+        /// faulting/trapping instruction; PC has not been advanced).
+        guest_pc: u32,
+    },
+    /// A superblock lifecycle event.
+    Superblock {
+        /// What happened.
+        kind: SuperblockEvent,
+        /// Entry (or page base) physical address.
+        pa: u32,
+        /// Kind-specific argument (µop count / targeted flag / pfn).
+        arg: u32,
+    },
+}
+
+/// One record of the ring: an event and its span on the simulated clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
-    /// Why control left the VM.
-    pub cause: ExitCause,
-    /// The VM's *virtual* ring (access-mode bits, 0 = kernel … 3 = user)
-    /// at exit time — the mode the guest believes it is in, not the
-    /// compressed real mode.
-    pub ring: u8,
-    /// Guest PC at exit (for faults and emulation traps this is the
-    /// faulting/trapping instruction; PC has not been advanced).
-    pub guest_pc: u32,
-    /// Simulated-cycle timestamp when the exit began.
+    /// What happened.
+    pub event: TraceEvent,
+    /// Simulated-cycle timestamp when it happened (an exit: when it
+    /// began).
     pub start_cycles: u64,
     /// Simulated cycles from exit to resume (microcode trap entry plus
-    /// the VMM software path). Zero until the exit completes.
+    /// the VMM software path). Zero until the exit completes, and always
+    /// zero for a superblock event, which is an instant.
     pub cost_cycles: u64,
 }
 
-/// A bounded ring of [`TraceRecord`]s.
+/// A bounded ring of [`TraceRecord`]s in push order.
 ///
 /// Storage is allocated once at construction; recording overwrites the
 /// oldest entry when full and never allocates, so the hot path stays
@@ -32,7 +78,7 @@ pub struct TraceRing {
     cap: usize,
     /// Index the next record will be written at.
     next: usize,
-    /// Total records ever pushed (so `dropped` is recoverable).
+    /// Total records ever pushed: the next record's sequence number.
     total: u64,
 }
 
@@ -49,23 +95,39 @@ impl TraceRing {
     }
 
     /// Appends a record, overwriting the oldest when full. Returns the
-    /// slot index, which stays valid (addressing the same record) until
-    /// `capacity` further pushes happen.
-    pub fn push(&mut self, rec: TraceRecord) -> usize {
-        let idx = self.next;
+    /// record's sequence number, which [`TraceRing::get_mut`] resolves
+    /// for as long as the record stays in the ring.
+    pub fn push(&mut self, rec: TraceRecord) -> u64 {
+        let seq = self.total;
         if self.buf.len() < self.cap {
             self.buf.push(rec);
         } else {
-            self.buf[idx] = rec;
+            self.buf[self.next] = rec;
         }
-        self.next = (self.next + 1) % self.cap;
+        self.next = if self.next + 1 == self.cap {
+            0
+        } else {
+            self.next + 1
+        };
         self.total += 1;
-        idx
+        seq
     }
 
-    /// Mutable access to a slot returned by [`TraceRing::push`].
-    pub fn get_mut(&mut self, idx: usize) -> Option<&mut TraceRecord> {
-        self.buf.get_mut(idx)
+    /// The record pushed as sequence number `seq`, or `None` once
+    /// `capacity` later pushes have overwritten it.
+    pub fn get_mut(&mut self, seq: u64) -> Option<&mut TraceRecord> {
+        let back = self.total.checked_sub(seq)?;
+        if back == 0 || back > self.buf.len() as u64 {
+            return None;
+        }
+        // `back` ≤ len ≤ cap, so one wrap at most.
+        let back = back as usize;
+        let slot = if back <= self.next {
+            self.next - back
+        } else {
+            self.next + self.cap - back
+        };
+        self.buf.get_mut(slot)
     }
 
     /// Records currently held.
@@ -110,9 +172,11 @@ mod tests {
 
     fn rec(t: u64) -> TraceRecord {
         TraceRecord {
-            cause: ExitCause::EmulRei,
-            ring: 0,
-            guest_pc: 0x1000,
+            event: TraceEvent::Exit {
+                cause: ExitCause::EmulRei,
+                ring: 0,
+                guest_pc: 0x1000,
+            },
             start_cycles: t,
             cost_cycles: 0,
         }
@@ -137,6 +201,18 @@ mod tests {
         let i = r.push(rec(7));
         r.get_mut(i).unwrap().cost_cycles = 99;
         assert_eq!(r.iter().next().unwrap().cost_cycles, 99);
+    }
+
+    #[test]
+    fn sequence_numbers_resolve_only_while_retained() {
+        let mut r = TraceRing::new(2);
+        let a = r.push(rec(1));
+        let b = r.push(rec(2));
+        assert_eq!(r.get_mut(a).map(|x| x.start_cycles), Some(1));
+        r.push(rec(3)); // overwrites `a`'s slot
+        assert!(r.get_mut(a).is_none(), "an overwritten record is gone");
+        assert_eq!(r.get_mut(b).map(|x| x.start_cycles), Some(2));
+        assert!(r.get_mut(99).is_none(), "never pushed");
     }
 
     #[test]

@@ -255,6 +255,15 @@ pub fn hex_decode(tok: &str) -> Result<Vec<u8>, RequestError> {
     Ok(out)
 }
 
+/// Parses a decimal token: ASCII digits only (`u64::from_str` would
+/// also take a leading `+`), in range for `T`.
+fn decimal<T: std::str::FromStr>(tok: &str) -> Option<T> {
+    if !tok.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    tok.parse().ok()
+}
+
 /// Parses one request line.
 ///
 /// # Errors
@@ -265,9 +274,8 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
     let toks: Vec<&str> = line.split_whitespace().collect();
     match toks.as_slice() {
         ["RUN", tenant, base, budget, payload] => {
-            let budget: u64 = budget
-                .parse()
-                .map_err(|_| RequestError::BadRequest("budget not a decimal"))?;
+            let budget: u64 =
+                decimal(budget).ok_or(RequestError::BadRequest("budget not a decimal"))?;
             if tenant.is_empty() || base.is_empty() {
                 return Err(RequestError::BadRequest("empty tenant or base"));
             }
@@ -303,9 +311,8 @@ pub fn parse_response(line: &str) -> Result<Response, RequestError> {
         ["OK", status, cycles, console] => {
             let status =
                 RunStatus::parse(status).ok_or(RequestError::BadRequest("unknown run status"))?;
-            let cycles: u64 = cycles
-                .parse()
-                .map_err(|_| RequestError::BadRequest("cycles not a decimal"))?;
+            let cycles: u64 =
+                decimal(cycles).ok_or(RequestError::BadRequest("cycles not a decimal"))?;
             Ok(Response::Ok {
                 status,
                 cycles,
@@ -314,9 +321,7 @@ pub fn parse_response(line: &str) -> Result<Response, RequestError> {
         }
         ["PONG"] => Ok(Response::Pong),
         ["ERR", code, reason] => Ok(Response::Err {
-            code: code
-                .parse()
-                .map_err(|_| RequestError::BadRequest("code not a decimal"))?,
+            code: decimal(code).ok_or(RequestError::BadRequest("code not a decimal"))?,
             reason: (*reason).to_string(),
         }),
         _ => Err(RequestError::BadRequest("unknown response shape")),

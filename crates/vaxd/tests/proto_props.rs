@@ -10,14 +10,13 @@ use std::io::{self, BufRead, ErrorKind, Read};
 use vaxd::proto::{hex_decode, hex_encode, ok_line, parse_request, parse_response, LineReader};
 use vaxd::{Request, Response, RunStatus};
 
-/// Reference reading of a budget token: an optional `+`, then ASCII
-/// digits whose value fits in a u64.
+/// Reference reading of a budget token: ASCII digits whose value fits
+/// in a u64 (no sign).
 fn decimal(tok: &str) -> Option<u64> {
-    let digits = tok.strip_prefix('+').unwrap_or(tok);
-    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+    if tok.is_empty() || !tok.bytes().all(|b| b.is_ascii_digit()) {
         return None;
     }
-    digits.bytes().try_fold(0u64, |v, d| {
+    tok.bytes().try_fold(0u64, |v, d| {
         v.checked_mul(10)?.checked_add(u64::from(d - b'0'))
     })
 }
@@ -139,6 +138,20 @@ fn run_status() -> impl Strategy<Value = RunStatus> {
         Just(RunStatus::Budget),
         Just(RunStatus::SecurityHalt),
     ]
+}
+
+/// Decimal tokens are digits only: a leading `+`, which `u64::from_str`
+/// accepts, is a bad request on the way in and out of grammar on the
+/// way back.
+#[test]
+fn a_plus_signed_decimal_is_rejected() {
+    let err = parse_request("RUN t b +5 -").unwrap_err();
+    assert!(err.to_line().starts_with("ERR 400 "), "{}", err.to_line());
+    assert!(parse_request("RUN t b 5 -").is_ok());
+    for line in ["OK halted +5 -", "ERR +400 bad"] {
+        assert!(parse_response(line).is_err(), "{line}");
+    }
+    assert!(parse_response("ERR 400 bad").is_ok());
 }
 
 proptest! {

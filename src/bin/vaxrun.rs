@@ -6,12 +6,13 @@
 //! $ vaxrun --vm program.s           # as a virtual machine guest
 //! $ vaxrun --list program.s         # print the listing, don't run
 //! $ vaxrun --base 2000 program.s    # load address (hex, default 1000)
-//! $ vaxrun --trace program.s        # dump the last PCs on exit
+//! $ vaxrun --trace program.s        # dump the last PCs and a profile
 //! $ vaxrun --exec-tier trans p.s    # translated superblocks for hot code
 //! $ vaxrun --vm --trace program.s   # print a VM-exit cost breakdown
 //! $ vaxrun --metrics-out m.json ... # write counters/histograms (JSON,
 //!                                   # or Prometheus text for .prom)
-//! $ vaxrun --vm --trace-out t.json  # write a Chrome trace of VM exits
+//! $ vaxrun --trace-out t.json p.s   # write a Chrome trace of VM exits
+//!                                   # and superblock events
 //! $ vaxrun --fleet 8 --jobs 4 p.s   # 8 monitors across 4 host threads
 //! $ vaxrun --fleet 8@2 ...          # ... with 2 VMs per monitor
 //! $ vaxrun --vm --max-cycles 50000 --snapshot-out s.vaxsnap p.s
@@ -36,10 +37,10 @@
 
 use std::process::ExitCode;
 use vax_arch::{MachineVariant, Psl};
-use vax_cpu::{ExecTier, HaltReason, Machine, StepEvent, SuperblockProfile};
+use vax_cpu::{ExecTier, HaltReason, Machine, StepEvent};
 use vax_vmm::{
-    chrome_trace, chrome_trace_with_events, Fleet, Metrics, Monitor, MonitorConfig, Prof, ProfTier,
-    RunExit, VmConfig, VmState, DEFAULT_SAMPLE_INTERVAL,
+    chrome_trace, Fleet, Metrics, Monitor, MonitorConfig, Obs, ObsSink, ProfTier, RunExit,
+    VmConfig, VmState, DEFAULT_SAMPLE_INTERVAL,
 };
 
 /// Upper bound on `--trace-depth`: 16M records is ~512 MiB of ring, far
@@ -65,16 +66,26 @@ struct Options {
     snapshot_delta: Option<String>,
     fork: usize,
     exec_tier: ExecTier,
-    profile: bool,
     profile_out: Option<String>,
     trace_depth: usize,
+}
+
+impl Options {
+    /// Whether the run switches the observability sink on: `--trace`
+    /// does, and so does every flag that writes what the sink collects.
+    fn obs(&self) -> bool {
+        self.trace
+            || self.trace_out.is_some()
+            || self.profile_out.is_some()
+            || self.metrics_out.is_some()
+    }
 }
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: vaxrun [--vm] [--list] [--trace] [--base HEX] [--max-cycles N] \
          [--exec-tier interp|cache|trans] [--metrics-out FILE] [--trace-out FILE] \
-         [--trace-depth N] [--profile] [--profile-out FILE] \
+         [--trace-depth N] [--profile-out FILE] \
          [--fleet M[@V]] [--jobs N] [--snapshot-out FILE] [--fork K] \
          FILE.s\n       \
          vaxrun --restore BASE[,DELTA...] [--max-cycles N] [--snapshot-out FILE] \
@@ -87,15 +98,17 @@ fn usage() -> ExitCode {
          'interp' (bytewise decode every\n       instruction), 'cache' (PA-keyed decode \
          cache, the default), or 'trans'\n       (decode cache + translated superblocks \
          for hot straight-line code). All\n       tiers produce bit-identical \
-         architectural state, cycles, and counters.\n\n       --profile samples the \
-         guest PC on the simulated clock and prints a\n       cycle-attributed profile \
-         on exit (per-tier split, hot pages, hot\n       superblocks, working set); \
-         --profile-out additionally writes a\n       collapsed-stack file for flamegraph \
-         tools and implies --profile.\n       Profiling never perturbs the guest: \
-         architectural state, cycles, and\n       counters are bit-identical with it on \
-         or off.\n\n       --trace-depth sets the VM-exit trace ring capacity in records \
-         (default\n       65536, max 16777216); deeper rings keep more history for \
-         --trace-out."
+         architectural state, cycles, and counters.\n\n       --trace switches the \
+         observability sink on: it traces VM exits and superblock\n       events, samples \
+         the guest PC on the simulated clock and keeps the last\n       PCs, and on exit \
+         prints a VM-exit cost breakdown (--vm, --fleet) or\n       the last PCs (bare), \
+         plus a cycle-attributed profile (per-tier split,\n       hot pages, hot \
+         superblocks, working set). --trace-out, --profile-out\n       and --metrics-out \
+         switch it on too and write a Chrome trace, a\n       collapsed-stack file for \
+         flamegraph tools, or the metrics. The sink\n       never perturbs the guest: \
+         architectural state, cycles, and counters\n       are bit-identical with it on or \
+         off.\n\n       --trace-depth sets the trace ring capacity in records (default\n       \
+         65536, max 16777216); deeper rings keep more history for --trace-out."
     );
     ExitCode::from(2)
 }
@@ -128,7 +141,6 @@ fn parse_args() -> Result<Options, ExitCode> {
         snapshot_delta: None,
         fork: 0,
         exec_tier: ExecTier::default(),
-        profile: false,
         profile_out: None,
         trace_depth: 65536,
     };
@@ -174,11 +186,7 @@ fn parse_args() -> Result<Options, ExitCode> {
                     return Err(usage());
                 }
             }
-            "--profile" => opts.profile = true,
-            "--profile-out" => {
-                opts.profile_out = Some(args.next().ok_or_else(usage)?);
-                opts.profile = true;
-            }
+            "--profile-out" => opts.profile_out = Some(args.next().ok_or_else(usage)?),
             "--snapshot-out" => opts.snapshot_out = Some(args.next().ok_or_else(usage)?),
             "--restore" => opts.restore = Some(args.next().ok_or_else(usage)?),
             "--snapshot-delta" => opts.snapshot_delta = Some(args.next().ok_or_else(usage)?),
@@ -370,8 +378,10 @@ fn print_exit_costs(metrics: &Metrics) {
 
 /// Prints the cycle-attributed profile for one machine: the per-tier
 /// attribution split, the hottest guest pages, the hot-superblock
-/// table, and working-set telemetry. Shared by `--vm` and bare modes.
-fn print_profile(prof: &Prof, blocks: &[SuperblockProfile], mem: &vax_mem::PhysMemory) {
+/// table, and working-set telemetry. Shared by every mode.
+fn print_profile(obs: &Obs, mem: &vax_mem::PhysMemory) {
+    let prof = obs.prof();
+    let blocks = prof.superblocks();
     let total = prof.attributed_total().max(1);
     eprintln!(
         "-- profile: {} samples (interval {} cycles), {} cycles attributed",
@@ -464,6 +474,32 @@ fn write_profile_out(path: &str, body: &str) -> Result<(), ExitCode> {
     Ok(())
 }
 
+/// One machine's sink outputs, shared by `--vm` and bare modes: the
+/// profile summary on stderr, then `--profile-out` and `--trace-out`.
+fn obs_outputs(
+    opts: &Options,
+    obs: Option<&Obs>,
+    mem: &vax_mem::PhysMemory,
+) -> Result<(), ExitCode> {
+    if let Some(o) = obs {
+        print_profile(o, mem);
+    }
+    if let Some(path) = &opts.profile_out {
+        let body = obs.map(|o| o.prof().collapsed_stack()).unwrap_or_default();
+        write_profile_out(path, &body)?;
+    }
+    if let Some(path) = &opts.trace_out {
+        let trace = obs
+            .map(|o| chrome_trace(o.trace().iter()))
+            .unwrap_or_default();
+        if let Err(e) = std::fs::write(path, trace) {
+            eprintln!("vaxrun: {path}: {e}");
+            return Err(ExitCode::FAILURE);
+        }
+    }
+    Ok(())
+}
+
 /// Fleet mode: `monitors` independent Monitors, each booting
 /// `vms_per_monitor` VMs on the same program, driven by the fleet
 /// executor.
@@ -473,11 +509,10 @@ fn run_fleet(
     monitors: usize,
     vms_per_monitor: usize,
 ) -> ExitCode {
-    let obs = opts.trace || opts.metrics_out.is_some();
     let mut fleet = Fleet::new();
     for m in 0..monitors {
         let mut monitor = Monitor::new(MonitorConfig::default());
-        if obs {
+        if opts.obs() {
             monitor.enable_obs(opts.trace_depth);
         }
         for v in 0..vms_per_monitor {
@@ -493,9 +528,6 @@ fn run_fleet(
     // One call fans the tier out to every member, so parallel workers
     // all run the same way.
     fleet.set_exec_tier(opts.exec_tier);
-    if opts.profile {
-        fleet.set_profiling(Some(DEFAULT_SAMPLE_INTERVAL));
-    }
     let report = if opts.jobs > 1 {
         fleet.run_parallel(opts.max_cycles, opts.jobs)
     } else {
@@ -526,20 +558,14 @@ fn run_fleet(
         report.wall.as_secs_f64(),
         report.instrs_per_sec()
     );
-    if opts.trace {
+    if opts.obs() {
         eprintln!("-- fleet-wide vm exit costs:");
         print_exit_costs(&fleet.fleet_metrics());
-    }
-    if opts.profile {
         for i in 0..fleet.len() {
             let monitor = fleet.monitor(i);
-            if let Some(prof) = monitor.prof() {
+            if let Some(obs) = monitor.obs() {
                 eprintln!("-- monitor {i} profile:");
-                print_profile(
-                    prof,
-                    &monitor.machine().superblock_profiles(),
-                    monitor.machine().mem(),
-                );
+                print_profile(obs, monitor.machine().mem());
             }
         }
     }
@@ -548,8 +574,8 @@ fn run_fleet(
         // concatenate cleanly because each line carries full context.
         let mut body = String::new();
         for i in 0..fleet.len() {
-            if let Some(prof) = fleet.monitor(i).prof() {
-                body.push_str(&prof.collapsed_stack());
+            if let Some(obs) = fleet.monitor(i).obs() {
+                body.push_str(&obs.prof().collapsed_stack());
             }
         }
         if let Err(code) = write_profile_out(path, &body) {
@@ -627,11 +653,8 @@ fn main() -> ExitCode {
     if opts.vm {
         let mut monitor = Monitor::new(MonitorConfig::default());
         monitor.set_exec_tier(opts.exec_tier);
-        if opts.trace || opts.trace_out.is_some() || opts.metrics_out.is_some() {
+        if opts.obs() {
             monitor.enable_obs(opts.trace_depth);
-        }
-        if opts.profile {
-            monitor.enable_profiling(DEFAULT_SAMPLE_INTERVAL);
         }
         let vm = monitor.create_vm("vaxrun", VmConfig::default());
         if let Err(e) = monitor.vm_write_phys(vm, program.base, &program.bytes) {
@@ -661,39 +684,12 @@ fn main() -> ExitCode {
             eprintln!("-- vmm: {l}");
         }
         let guest_state = guest.state;
-        if opts.trace {
-            if let Some(obs) = monitor.obs() {
-                eprintln!("-- vm exits ({} total):", obs.total_exits());
-                for cause in vax_vmm::ExitCause::ALL {
-                    let h = obs.histogram(cause);
-                    if h.count() > 0 {
-                        eprintln!(
-                            "--   {:<18} {:>8}  mean {:>7.1}  p99 {:>6}  max {:>6} cycles",
-                            cause.name(),
-                            h.count(),
-                            h.mean(),
-                            h.quantile(0.99),
-                            h.max()
-                        );
-                    }
-                }
-            }
+        if let Some(obs) = monitor.obs() {
+            eprintln!("-- vm exits ({} total):", obs.total_exits());
+            print_exit_costs(&monitor.metrics());
         }
-        if let Some(prof) = monitor.prof() {
-            print_profile(
-                prof,
-                &monitor.machine().superblock_profiles(),
-                monitor.machine().mem(),
-            );
-        }
-        if let Some(path) = &opts.profile_out {
-            let body = monitor
-                .prof()
-                .map(Prof::collapsed_stack)
-                .unwrap_or_default();
-            if let Err(code) = write_profile_out(path, &body) {
-                return code;
-            }
+        if let Err(code) = obs_outputs(&opts, monitor.obs(), monitor.machine().mem()) {
+            return code;
         }
         let (snap_bytes, forks) = match snapshot_duties(&mut monitor, &opts) {
             Ok(v) => v,
@@ -711,21 +707,6 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-        if let Some(path) = &opts.trace_out {
-            // With profiling on, superblock lifecycle events ride along
-            // as instant events on their own trace row.
-            let trace = monitor
-                .obs()
-                .map(|o| match monitor.prof() {
-                    Some(p) => chrome_trace_with_events(o.trace().iter(), p.events()),
-                    None => chrome_trace(o.trace().iter()),
-                })
-                .unwrap_or_default();
-            if let Err(e) = std::fs::write(path, trace) {
-                eprintln!("vaxrun: {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
         return if exit == RunExit::AllHalted && guest_state == VmState::ConsoleHalt {
             ExitCode::SUCCESS
         } else {
@@ -739,11 +720,8 @@ fn main() -> ExitCode {
     }
     let mut m = Machine::new(MachineVariant::Modified, 2 * 1024 * 1024);
     m.set_exec_tier(opts.exec_tier);
-    if opts.trace {
-        m.enable_trace(16);
-    }
-    if opts.profile {
-        m.enable_profiling(DEFAULT_SAMPLE_INTERVAL);
+    if opts.obs() {
+        m.set_obs(ObsSink::on(opts.trace_depth, DEFAULT_SAMPLE_INTERVAL));
     }
     if m.mem_mut()
         .write_slice(program.base, &program.bytes)
@@ -806,18 +784,12 @@ fn main() -> ExitCode {
         let row: Vec<String> = r.iter().map(|(_, v)| format!("{v:08X}")).collect();
         eprintln!("-- R{:<2} {}", i * 4, row.join(" "));
     }
-    if opts.trace {
+    if m.obs().is_some() {
         let pcs: Vec<String> = m.recent_pcs().iter().map(|p| format!("{p:#x}")).collect();
         eprintln!("-- trace: {}", pcs.join(" "));
     }
-    if let Some(prof) = m.prof() {
-        print_profile(prof, &m.superblock_profiles(), m.mem());
-    }
-    if let Some(path) = &opts.profile_out {
-        let body = m.prof().map(Prof::collapsed_stack).unwrap_or_default();
-        if let Err(code) = write_profile_out(path, &body) {
-            return code;
-        }
+    if let Err(code) = obs_outputs(&opts, m.obs(), m.mem()) {
+        return code;
     }
     if let Some(path) = &opts.metrics_out {
         let metrics = m.metrics();

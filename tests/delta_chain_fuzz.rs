@@ -14,7 +14,7 @@ use vax_snap::{
     restore_chain, snapshot_chain_base, snapshot_delta, snapshot_digest, snapshot_monitor,
     SnapshotError,
 };
-use vax_vmm::{Fleet, Monitor, MonitorConfig, VmConfig, DEFAULT_SAMPLE_INTERVAL};
+use vax_vmm::{Fleet, Monitor, MonitorConfig, VmConfig};
 
 /// `Monitor` has no `Debug`, so `expect_err` can't be used directly.
 fn must_fail(r: Result<Monitor, SnapshotError>, why: &str) -> SnapshotError {
@@ -183,10 +183,11 @@ enum Interference {
     /// Pre-copy live migration of the *other* writer to a second
     /// monitor.
     MigrateOther,
-    /// Profiling switched on mid-chain.
-    EnableProfiling,
-    /// Profiling, on since before the base, switched off mid-chain.
-    DisableProfiling,
+    /// The observability sink (and with it the profiler) switched on
+    /// mid-chain.
+    EnableObs,
+    /// The sink, on since before the base, switched off mid-chain.
+    DisableObs,
     /// The tracking switch called a second time.
     EnableTrackingAgain,
 }
@@ -198,8 +199,8 @@ fn chain_across(case: Interference) -> Result<(), String> {
     let program = vax_asm::assemble_text(WRITER, 0x1000).unwrap();
     let mut mon = Monitor::new(MonitorConfig::default());
     mon.enable_dirty_tracking();
-    if let Interference::DisableProfiling = case {
-        mon.enable_profiling(DEFAULT_SAMPLE_INTERVAL);
+    if let Interference::DisableObs = case {
+        mon.enable_obs(64);
     }
     let a = mon.create_vm("a", VmConfig::default());
     let b = mon.create_vm("b", VmConfig::default());
@@ -220,12 +221,8 @@ fn chain_across(case: Interference) -> Result<(), String> {
                 .migrate_live(b, 0, 1, SLICE / 4, 3)
                 .map_err(|e| e.to_string())?;
         }
-        Interference::EnableProfiling => {
-            fleet
-                .monitor_mut(0)
-                .enable_profiling(DEFAULT_SAMPLE_INTERVAL);
-        }
-        Interference::DisableProfiling => fleet.monitor_mut(0).disable_profiling(),
+        Interference::EnableObs => fleet.monitor_mut(0).enable_obs(64),
+        Interference::DisableObs => fleet.monitor_mut(0).disable_obs(),
         Interference::EnableTrackingAgain => fleet.monitor_mut(0).enable_dirty_tracking(),
     }
     fleet.monitor_mut(0).run(SLICE);
@@ -242,8 +239,8 @@ fn chain_across(case: Interference) -> Result<(), String> {
 fn no_consumer_breaks_an_open_chain() {
     let broken: Vec<String> = [
         Interference::MigrateOther,
-        Interference::EnableProfiling,
-        Interference::DisableProfiling,
+        Interference::EnableObs,
+        Interference::DisableObs,
         Interference::EnableTrackingAgain,
     ]
     .into_iter()

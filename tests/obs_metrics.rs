@@ -1,11 +1,15 @@
-//! Observability contract tests: enabling exit tracing must be invisible
-//! to the simulation (bit-identical cycles and counters), and the
+//! Observability contract tests: switching the sink on must be
+//! invisible to the simulation (bit-identical cycles and counters), the
 //! per-cause histograms must reproduce the paper's §7.3 claim that
-//! MTPR-to-IPL is an order of magnitude more expensive virtualized.
+//! MTPR-to-IPL is an order of magnitude more expensive virtualized, and
+//! one ring must hold exits and superblock events without mixing them up.
 
 use vax_arch::{MachineVariant, Psl};
 use vax_cpu::{CpuCounters, ExecTier, Machine, StepEvent};
-use vax_vmm::{ExitCause, Fleet, Monitor, MonitorConfig, RunExit, VmConfig};
+use vax_vmm::{
+    ExitCause, Fleet, Monitor, MonitorConfig, ObsSink, RunExit, TraceEvent, VmConfig,
+    DEFAULT_SAMPLE_INTERVAL,
+};
 
 /// A guest kernel that exercises several exit causes: MTPR-to-IPL (the
 /// §7.3 hot path), MTPR-to-TXDB (other-register emulation), and a final
@@ -120,10 +124,67 @@ fn exit_trace_records_are_coherent() {
     for rec in ring.iter() {
         assert!(rec.start_cycles >= last_start, "trace must be time-ordered");
         last_start = rec.start_cycles;
-        if rec.cause == ExitCause::EmulMtprIpl {
+        if let TraceEvent::Exit {
+            cause: ExitCause::EmulMtprIpl,
+            ..
+        } = rec.event
+        {
             assert!(rec.cost_cycles > 0, "completed exits carry their cost");
         }
     }
+}
+
+/// Emulating `MTPR #TBIA` invalidates translated code, which pushes a
+/// superblock event into the ring while the TBIA exit is still pending.
+/// In a one-record ring that event overwrites the exit's record: the
+/// exit must still be counted, and its cost must not land on the event.
+/// The guest runs in short slices, and the ring is read after each: a
+/// slice ends right after the TBIA exit, so its event is often the
+/// record a one-record ring holds (the next fetch takes a shadow fill).
+#[test]
+fn pending_exit_survives_an_event_overwriting_its_record() {
+    let program = vax_asm::assemble_text(
+        "
+        top:
+            mtpr #0, #57
+            brb top
+        ",
+        0x1000,
+    )
+    .unwrap();
+    let run = |ring_capacity: usize| {
+        let mut monitor = Monitor::new(MonitorConfig::default());
+        monitor.enable_obs(ring_capacity);
+        let vm = monitor.create_vm("tbia", VmConfig::default());
+        monitor
+            .vm_write_phys(vm, program.base, &program.bytes)
+            .unwrap();
+        monitor.boot_vm(vm, program.base);
+        let mut events = 0;
+        for _ in 0..2000 {
+            assert_eq!(monitor.run(50), RunExit::BudgetExhausted);
+            for rec in monitor.obs().unwrap().trace().iter() {
+                if let TraceEvent::Superblock { .. } = rec.event {
+                    events += 1;
+                    assert_eq!(rec.cost_cycles, 0, "an event carries no exit cost: {rec:?}");
+                }
+            }
+        }
+        assert!(events > 0, "cap {ring_capacity}: TBIA logs invalidations");
+        monitor
+    };
+    let (one, deep) = (run(1), run(4096));
+    let (one, deep) = (one.obs().unwrap(), deep.obs().unwrap());
+    assert!(deep.exits(ExitCause::EmulMtprOther) > 100, "the loop traps");
+    for cause in ExitCause::ALL {
+        let (a, b) = (one.histogram(cause), deep.histogram(cause));
+        assert_eq!(
+            (a.count(), a.sum(), a.max()),
+            (b.count(), b.sum(), b.max()),
+            "{cause:?}: the histograms must not depend on the ring's depth"
+        );
+    }
+    assert_eq!(one.trace().total(), deep.trace().total());
 }
 
 #[test]
@@ -214,13 +275,12 @@ fn exec_tier_gauge_names_the_tier_that_ran() {
     assert!(prom.contains("vax_exec_tier{tier=\"trans\"} 2\n"), "{prom}");
 }
 
-/// Like [`run_guest`] with the profiler on; the simulation outcome must
-/// match the unprofiled runs bit for bit.
+/// Like [`run_guest`] with the sink sampling densely; the simulation
+/// outcome must match the unobserved runs bit for bit.
 fn run_guest_profiled() -> (Monitor, u64, CpuCounters) {
     let program = vax_asm::assemble_text(GUEST, 0x1000).unwrap();
     let mut monitor = Monitor::new(MonitorConfig::default());
-    monitor.enable_obs(256);
-    monitor.enable_profiling(64);
+    monitor.machine_mut().set_obs(ObsSink::on(256, 64));
     let vm = monitor.create_vm("guest", VmConfig::default());
     monitor
         .vm_write_phys(vm, program.base, &program.bytes)
@@ -239,19 +299,31 @@ fn profiling_never_perturbs_cycles_or_counters() {
     let (monitor, cycles_on, counters_on) = run_guest_profiled();
     assert_eq!(cycles_on, cycles_off, "profiling changed simulated time");
     assert_eq!(counters_on, counters_off, "profiling changed counters");
-    let prof = monitor.prof().expect("profiling enabled");
+    let prof = monitor.obs().expect("the sink is on").prof();
     assert!(prof.samples() > 0, "the run must cross sample boundaries");
     assert!(prof.attributed_total() > 0);
 }
 
+/// Profiling rides the one switch: on at the default interval with
+/// tracing, and its families gone with everything else when off.
 #[test]
 fn profiling_off_by_default_and_discarded_on_disable() {
     let mut monitor = Monitor::new(MonitorConfig::default());
-    assert!(monitor.prof().is_none(), "profiling must be off by default");
-    monitor.enable_profiling(64);
-    assert!(monitor.prof().is_some());
-    monitor.disable_profiling();
-    assert!(monitor.prof().is_none());
+    assert!(monitor.obs().is_none(), "the sink must be off by default");
+    assert_eq!(monitor.metrics().get_counter("profile_samples"), None);
+    monitor.enable_obs(16);
+    let prof = monitor.obs().expect("the sink is on").prof();
+    assert_eq!(prof.interval(), DEFAULT_SAMPLE_INTERVAL);
+    let on = monitor.metrics();
+    for family in ["profile_samples", "trace_records", "trace_records_dropped"] {
+        assert_eq!(on.get_counter(family), Some(0), "{family}");
+    }
+    monitor.disable_obs();
+    assert!(monitor.obs().is_none());
+    let off = monitor.metrics();
+    for family in ["profile_samples", "trace_records", "trace_records_dropped"] {
+        assert_eq!(off.get_counter(family), None, "{family}");
+    }
 }
 
 #[test]
@@ -292,7 +364,7 @@ fn profile_metrics_exposition() {
     assert!(prom.contains("vax_dirty_pages "), "{prom}");
 
     // The collapsed stack is one frame path + count per line.
-    let prof = monitor.prof().unwrap();
+    let prof = monitor.obs().unwrap().prof();
     let folded = prof.collapsed_stack();
     for line in folded.lines() {
         let (frames, count) = line.rsplit_once(' ').expect("frames <space> count");

@@ -6,7 +6,7 @@
 //!   pages materialize on — and only on — writes. After a deterministic
 //!   identical run, the resident-page set is an independent record of
 //!   every page written, which must equal the profiler's view of
-//!   touched pages (reset when profiling is enabled) exactly
+//!   touched pages (reset when the obs sink is switched on) exactly
 //!   (same-value writes included).
 //! * **Content-diff oracle (soundness)**: any page whose bytes changed
 //!   over the run must be in the touched set. The converse doesn't hold —
@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 use vax_cpu::ExecTier;
-use vax_vmm::{Monitor, MonitorConfig, VmConfig, DEFAULT_SAMPLE_INTERVAL};
+use vax_vmm::{Monitor, MonitorConfig, VmConfig};
 
 /// Builds the monitor_fuzz-corpus guest, booted but not yet run.
 fn build(code: &[u8], scb_junk: u32, tier: ExecTier) -> Monitor {
@@ -43,10 +43,11 @@ proptest! {
         scb_junk in any::<u32>(),
     ) {
         for tier in [ExecTier::Interp, ExecTier::Cache, ExecTier::Trans] {
-            // Run A: profiling (which resets its touched view) at boot;
-            // the pre-run page images feed the content-diff check.
+            // Run A: the sink (which resets the profiler's touched view)
+            // on at boot; the pre-run page images feed the content-diff
+            // check.
             let mut profiled = build(&code, scb_junk, tier);
-            profiled.enable_profiling(DEFAULT_SAMPLE_INTERVAL);
+            profiled.enable_obs(64);
             let pages = profiled.machine().mem().pages() as u32;
             let pre: Vec<Vec<u8>> = (0..pages)
                 .map(|p| profiled.machine().mem().page(p).unwrap().to_vec())

@@ -1,13 +1,14 @@
-//! Profiler non-perturbation fuzzing: enabling `vax-prof` (sampling +
-//! a reset of its working-set view) must leave the simulation bit-identical — same
+//! Observability non-perturbation fuzzing: switching the sink on
+//! (exit tracing, `vax-prof` sampling + a reset of its working-set view,
+//! the PC window) must leave the simulation bit-identical — same
 //! registers, PSL, cycle count, and counters — for arbitrary code, valid
-//! or garbage, under every execution tier. The profiler only reads the
+//! or garbage, under every execution tier. The sink only reads the
 //! simulated clock and PC; these tests are the enforcement.
 
 use proptest::prelude::*;
 use vax_arch::{MachineVariant, Psl};
 use vax_cpu::{CpuCounters, ExecTier, Machine, StepEvent};
-use vax_vmm::{Monitor, MonitorConfig, VmConfig, VmStats, DEFAULT_SAMPLE_INTERVAL};
+use vax_vmm::{Monitor, MonitorConfig, ObsSink, VmConfig, VmStats};
 
 /// Everything a bare machine can reveal after a bounded run.
 #[derive(Debug, PartialEq)]
@@ -20,13 +21,13 @@ struct BareOutcome {
 }
 
 /// Runs `code` at 0x1000 on a bare machine under `tier`, optionally
-/// with profiling at an aggressive sample interval (so short fuzz runs
-/// still cross plenty of sample boundaries).
+/// with the sink on at an aggressive sample interval (so short fuzz
+/// runs still cross plenty of sample boundaries).
 fn run_bare(code: &[u8], tier: ExecTier, profile: bool, max_steps: u32) -> BareOutcome {
     let mut m = Machine::new(MachineVariant::Modified, 256 * 1024);
     m.set_exec_tier(tier);
     if profile {
-        m.enable_profiling(16);
+        m.set_obs(ObsSink::on(64, 16));
     }
     m.mem_mut().write_slice(0x1000, code).unwrap();
     let mut psl = Psl::new();
@@ -41,7 +42,7 @@ fn run_bare(code: &[u8], tier: ExecTier, profile: bool, max_steps: u32) -> BareO
         }
     }
     if profile {
-        assert!(m.prof().is_some(), "profiler must stay on through the run");
+        assert!(m.obs().is_some(), "the sink must stay on through the run");
     }
     BareOutcome {
         regs: std::array::from_fn(|i| m.reg(i)),
@@ -53,7 +54,7 @@ fn run_bare(code: &[u8], tier: ExecTier, profile: bool, max_steps: u32) -> BareO
 }
 
 /// Runs `code` as a monitor guest (the monitor_fuzz corpus shape) under
-/// `tier`, optionally profiled, returning the guest-visible end state.
+/// `tier`, optionally observed, returning the guest-visible end state.
 fn run_guest(
     code: &[u8],
     scb_junk: u32,
@@ -63,7 +64,7 @@ fn run_guest(
     let mut mon = Monitor::new(MonitorConfig::default());
     mon.set_exec_tier(tier);
     if profile {
-        mon.enable_profiling(DEFAULT_SAMPLE_INTERVAL);
+        mon.enable_obs(64);
     }
     let vm = mon.create_vm("fuzz", VmConfig::default());
     mon.vm_write_phys(vm, 0x1000, code).unwrap();
@@ -128,7 +129,7 @@ fn attribution_tiles_the_run() {
     for tier in [ExecTier::Interp, ExecTier::Cache, ExecTier::Trans] {
         let mut m = Machine::new(MachineVariant::Modified, 256 * 1024);
         m.set_exec_tier(tier);
-        m.enable_profiling(64);
+        m.set_obs(ObsSink::on(64, 64));
         m.mem_mut().write_slice(0x1000, &program.bytes).unwrap();
         let mut psl = Psl::new();
         psl.set_ipl(31);
@@ -136,7 +137,7 @@ fn attribution_tiles_the_run() {
         m.set_reg(14, 0x8000);
         m.set_pc(0x1000);
         while m.step() == StepEvent::Ok {}
-        let prof = m.prof().expect("profiling on");
+        let prof = m.obs().expect("the sink is on").prof();
         assert!(prof.samples() > 10, "{tier:?}: loop must cross samples");
         // Attributed cycles = sum over buckets + overflow, and both
         // equal the clock span covered by samples.

@@ -130,6 +130,28 @@ fn vaxrun_metrics_and_trace_outputs() {
     // Bare mode exports the machine's families the monitor does,
     // the exec tier included.
     assert!(prom.contains("vax_exec_tier{tier=\"cache\"} 1"), "{prom}");
+
+    // Bare --trace-out writes the sink's ring too: on the trans tier,
+    // superblock lifecycle events.
+    let loop_prog = write_program(
+        &dir,
+        "hot_loop.s",
+        "movl #200, r0\ntop: addl2 r0, r1\n sobgtr r0, top\n halt\n",
+    );
+    let bare_trace = dir.join("bare_trace.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_vaxrun"))
+        .args(["--exec-tier", "trans", "--trace-out"])
+        .arg(&bare_trace)
+        .arg(&loop_prog)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let trace = std::fs::read_to_string(&bare_trace).unwrap();
+    assert!(trace.contains("\"name\": \"sb_translate\""), "{trace}");
 }
 
 #[test]
@@ -179,7 +201,7 @@ fn vaxrun_profile_mode() {
     let prog = write_program(&dir, "profile.s", HELLO);
     let folded_path = dir.join("profile.folded");
 
-    // --vm --profile: summary on stderr, collapsed stack on disk, and
+    // --vm --profile-out: summary on stderr, collapsed stack on disk, and
     // profile families in the metrics registry.
     let metrics_path = dir.join("profile_metrics.json");
     let out = Command::new(env!("CARGO_BIN_EXE_vaxrun"))
@@ -208,9 +230,9 @@ fn vaxrun_profile_mode() {
     assert!(json.contains("\"profile_cycles_cache\""), "{json}");
     assert!(json.contains("\"dirty_pages\""), "{json}");
 
-    // Bare mode: --profile alone prints the summary too.
+    // Bare mode: --trace alone prints the summary too.
     let out = Command::new(env!("CARGO_BIN_EXE_vaxrun"))
-        .arg("--profile")
+        .arg("--trace")
         .arg(&prog)
         .output()
         .unwrap();
