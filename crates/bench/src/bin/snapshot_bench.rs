@@ -2,8 +2,8 @@
 //! restore latency, copy-on-write fork cost and page-sharing ratio, and
 //! a cross-monitor migration round-trip — each with its correctness
 //! contract asserted inline (restore bit-identity, fork sharing ≥ 80%,
-//! fork per child at most a quarter of a restore, migrated guest output
-//! identical to an unmigrated run).
+//! fork per child at most a quarter of a restore, no cache storage in a
+//! fresh fork, migrated guest output identical to an unmigrated run).
 //!
 //! Usage: `cargo run --release -p vax-bench --bin snapshot_bench [-- --quick]`
 //!
@@ -120,12 +120,12 @@ fn main() {
     // --- copy-on-write fork ---------------------------------------
     // Two patterns. Serving (`vaxd`): fork a child, run it to halt, reap
     // it, fork the next, each fork timed alone after one untimed warm-up
-    // cycle. Fan-out (`fork_monitor`): all children alive at once, so
-    // each one also page-faults in its own fresh decode and translation
-    // caches (about 2 MiB) where the serving pattern reuses the reaped
-    // child's. Every child (and the parent) runs to completion
-    // independently; sharing is measured after the children's guests
-    // have dirtied whatever they dirty.
+    // cycle. Fan-out (`fork_monitor`): all children alive at once. A
+    // fresh child's decode and translation caches hold no storage until
+    // it decodes, so no fan-out child may start with any. Every child
+    // (and the parent) runs to completion independently; sharing is
+    // measured after the children's guests have dirtied whatever they
+    // dirty.
     let mut parent = subject(&scale);
     let image = capture(&parent).expect("capture");
     let mut min_shared = 1.0f64;
@@ -143,6 +143,21 @@ fn main() {
     let t = Instant::now();
     let mut children = fork_monitor(&mut parent, scale.forks).expect("fork");
     let fanout_s = t.elapsed().as_secs_f64() / scale.forks as f64;
+    // The most cache storage any fresh child holds, either cache.
+    let code_cache_bytes_after_fork = children
+        .iter()
+        .flat_map(|c| {
+            let m = c.metrics();
+            ["decode", "trans"].map(|cache| {
+                m.get_labeled_gauge("code_cache_resident_bytes", "cache", cache)
+                    .expect("exported")
+            })
+        })
+        .fold(0.0, f64::max);
+    assert_eq!(
+        code_cache_bytes_after_fork, 0.0,
+        "a fresh fork must hold no decode or translation cache storage"
+    );
     for child in &mut children {
         assert_eq!(child.run(BUDGET), RunExit::AllHalted);
         min_shared = min_shared.min(child.machine().mem().shared_fraction());
@@ -318,6 +333,7 @@ fn main() {
          \"restore\": {{\"mean_secs\": {restore_s:.9}, \"bit_identical\": true}},\n  \
          \"fork\": {{\"children\": {}, \"mean_secs_per_child\": {fork_s:.9}, \
          \"fanout_mean_secs_per_child\": {fanout_s:.9}, \
+         \"code_cache_bytes_after_fork\": {code_cache_bytes_after_fork}, \
          \"min_shared_fraction_after_run\": {min_shared:.6}, \"sharing_target\": 0.8, \
          \"fork_over_restore\": {fork_over_restore:.6}, \"fork_over_restore_max\": 0.25}},\n  \
          \"migration\": {{\"round_trip_secs\": {migrate_s:.9}, \"guest_identical\": true}},\n  \

@@ -25,7 +25,8 @@
 use crate::decode::DecOp;
 use crate::event::OperandLoc;
 use crate::fixedvec::FixedVec;
-use vax_arch::{AccessType, DataType, Opcode, PAGE_BYTES, PAGE_SHIFT};
+use crate::slots::{SlotTable, SEG_SLOTS};
+use vax_arch::{AccessType, DataType, Opcode, PAGE_BYTES};
 
 /// A slot in a baked operand array that depends on live register state:
 /// `baked[idx]` must be rewritten from register `reg` before use.
@@ -394,8 +395,6 @@ impl DecodeCacheStats {
 
 #[derive(Debug, Clone, Copy)]
 struct Entry {
-    pa: u32,
-    gen: u32,
     /// Saturating execution counter, bumped on every cache hit. The
     /// translation tier reads this to find hot block heads; dropping the
     /// entry (any invalidation) drops the heat with it, so remapped or
@@ -406,14 +405,8 @@ struct Entry {
 
 /// Direct-mapped cache of [`InstTemplate`]s keyed by the physical address
 /// of the opcode byte.
-#[derive(Debug)]
 pub(crate) struct DecodeCache {
-    /// Fixed-size boxed array: the power-of-two mask in [`Self::slot`]
-    /// then proves every index in bounds, so lookups compile without
-    /// bounds checks.
-    slots: Box<[Option<Entry>; SLOTS]>,
-    /// Generation counter: bumping it is an O(1) `invalidate_all`.
-    gen: u32,
+    slots: SlotTable<Entry, { SLOTS / SEG_SLOTS }>,
     stats: DecodeCacheStats,
 }
 
@@ -423,29 +416,20 @@ const SLOTS: usize = 8192;
 impl DecodeCache {
     pub fn new() -> DecodeCache {
         DecodeCache {
-            slots: vec![None; SLOTS]
-                .into_boxed_slice()
-                .try_into()
-                .unwrap_or_else(|_| unreachable!()),
-            gen: 0,
+            slots: SlotTable::new(),
             stats: DecodeCacheStats::default(),
         }
     }
 
     #[inline]
-    fn slot(pa: u32) -> usize {
-        pa as usize & (SLOTS - 1)
-    }
-
-    #[inline]
     #[cfg(test)]
     pub fn lookup(&mut self, pa: u32) -> Option<InstTemplate> {
-        match self.slots[Self::slot(pa)] {
-            Some(e) if e.pa == pa && e.gen == self.gen => {
+        match self.slots.get(pa) {
+            Some(e) => {
                 self.stats.hits += 1;
                 Some(e.tpl)
             }
-            _ => {
+            None => {
                 self.stats.misses += 1;
                 None
             }
@@ -461,87 +445,62 @@ impl DecodeCache {
         pa: u32,
         fill: impl FnOnce() -> Option<InstTemplate>,
     ) -> Option<&InstTemplate> {
-        let idx = Self::slot(pa);
-        match self.slots[idx] {
-            Some(ref mut e) if e.pa == pa && e.gen == self.gen => {
+        match self.slots.get_mut(pa) {
+            Some(e) => {
                 self.stats.hits += 1;
                 e.heat = e.heat.saturating_add(1);
             }
-            _ => {
+            None => {
                 self.stats.misses += 1;
                 let Some(tpl) = fill() else {
                     self.stats.bytewise_fallbacks += 1;
                     return None;
                 };
-                self.slots[idx] = Some(Entry {
-                    pa,
-                    gen: self.gen,
-                    heat: 0,
-                    tpl,
-                });
+                self.slots.insert(pa, Entry { heat: 0, tpl });
             }
         }
-        self.slots[idx].as_ref().map(|e| &e.tpl)
+        self.slots.get(pa).map(|e| &e.tpl)
     }
 
     /// Returns the cached template for `pa` without touching statistics
     /// or heat — used by the translator when walking a candidate block.
     #[inline]
     pub fn peek(&self, pa: u32) -> Option<&InstTemplate> {
-        match self.slots[Self::slot(pa)] {
-            Some(ref e) if e.pa == pa && e.gen == self.gen => Some(&e.tpl),
-            _ => None,
-        }
+        self.slots.get(pa).map(|e| &e.tpl)
     }
 
     /// The hotness counter for `pa` (0 when not cached). Stats-free.
     #[inline]
     pub fn heat(&self, pa: u32) -> u32 {
-        match self.slots[Self::slot(pa)] {
-            Some(ref e) if e.pa == pa && e.gen == self.gen => e.heat,
-            _ => 0,
-        }
+        self.slots.get(pa).map_or(0, |e| e.heat)
     }
 
     #[cfg(test)]
     pub fn insert(&mut self, pa: u32, tpl: InstTemplate) {
-        self.slots[Self::slot(pa)] = Some(Entry {
-            pa,
-            gen: self.gen,
-            heat: 0,
-            tpl,
-        });
+        self.slots.insert(pa, Entry { heat: 0, tpl });
     }
 
     /// Invalidates everything (TBIA, MAPEN/base-register writes, LDPCTX,
     /// explicit VMM requests).
     pub fn invalidate_all(&mut self) {
-        self.gen = self.gen.wrapping_add(1);
+        self.slots.invalidate_all();
         self.stats.invalidations += 1;
-        // On the (astronomically unlikely) generation wrap, stale entries
-        // could alias the new generation; purge for safety.
-        if self.gen == 0 {
-            self.slots.fill(None);
-        }
     }
 
     /// Invalidates all entries whose opcode byte lies in physical page
-    /// `pfn`. Slot indices are the low PA bits, so one page's entries
-    /// occupy `PAGE_BYTES` consecutive slots.
+    /// `pfn`.
     pub fn invalidate_page(&mut self, pfn: u32) {
-        let first = Self::slot(pfn << PAGE_SHIFT);
-        for idx in first..first + PAGE_BYTES as usize {
-            if let Some(e) = self.slots[idx] {
-                if e.pa >> PAGE_SHIFT == pfn {
-                    self.slots[idx] = None;
-                }
-            }
-        }
+        self.slots.invalidate_page(pfn);
         self.stats.invalidations += 1;
     }
 
     pub fn stats(&self) -> DecodeCacheStats {
         self.stats
+    }
+
+    /// Bytes of template storage allocated so far.
+    pub fn resident_bytes(&self) -> usize {
+        self.slots.resident_bytes()
     }
 }
 

@@ -55,6 +55,7 @@ pub mod fixedvec;
 pub mod icache;
 pub mod machine;
 pub mod sensitivity;
+mod slots;
 pub mod trans;
 pub mod uop;
 

@@ -258,9 +258,11 @@ impl Machine {
     /// Creates a machine of the given variant running on `mem` — the
     /// seam snapshot restore and copy-on-write fork build on: the
     /// machine adopts the memory it will run on, so no throwaway memory
-    /// is allocated and zeroed first. Decoded-instruction caches start
-    /// cold; pair with [`Machine::import_state`] to reinstate the rest
-    /// of a captured machine.
+    /// is allocated and zeroed first. The decode and translation caches
+    /// start cold and empty: they allocate their slots a small segment
+    /// at a time as code is first decoded or translated. Pair with
+    /// [`Machine::import_state`] to reinstate the rest of a captured
+    /// machine.
     pub fn with_mem(variant: MachineVariant, mem: PhysMemory) -> Machine {
         let mut mmu = Mmu::new();
         mmu.set_modify_fault_enabled(variant.has_vm_extensions());
@@ -415,9 +417,9 @@ impl Machine {
 
     /// Snapshots the machine's metric families into a registry:
     /// architectural counters, simulated cycles, decode-cache and
-    /// translation statistics, the exec tier in effect, memory's
-    /// working-set views and, while the sink is on, its families
-    /// ([`Obs::metrics`]).
+    /// translation statistics and resident bytes, the exec tier in
+    /// effect, memory's working-set views and, while the sink is on,
+    /// its families ([`Obs::metrics`]).
     /// A monitor's registry starts from this one and adds the VMM's.
     pub fn metrics(&self) -> Metrics {
         let mut m = Metrics::new();
@@ -447,6 +449,12 @@ impl Machine {
         m.counter("trans_chain_hits", ts.chain_hits);
         m.counter("trans_chain_links_severed", ts.chain_links_severed);
         m.counter("trans_invalidations", ts.invalidations);
+        for (cache, bytes) in [
+            ("decode", self.icache.resident_bytes()),
+            ("trans", self.trans.resident_bytes()),
+        ] {
+            m.labeled_gauge("code_cache_resident_bytes", "cache", cache, bytes as f64);
+        }
         // Which tier ran: a trans run that never got a block hot enough
         // to translate otherwise reads exactly like a cache run.
         for tier in ExecTier::ALL {

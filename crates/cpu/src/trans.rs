@@ -72,13 +72,14 @@ use crate::event::StepEvent;
 use crate::exec::{ash, sign_extend};
 use crate::icache::parse_template;
 use crate::machine::Machine;
+use crate::slots::{SlotTable, SEG_SLOTS};
 use crate::uop::{lower, AluOp, Dst, Ea, MovXf, Src, Uop, UopKind, MAX_BLOCK_UOPS};
 use std::sync::Arc;
 use vax_arch::{Psl, VirtAddr, PAGE_BYTES, PAGE_SHIFT};
 use vax_obs::{ObsSink, ProfTier};
 
 /// Translation-cache slot count; a power of two with at least one page of
-/// slots (so per-page invalidation scans a contiguous range).
+/// slots.
 const TSLOTS: usize = 4096;
 
 /// Decode-cache hits at one PC before a superblock forms there.
@@ -173,11 +174,9 @@ impl Default for TransStats {
 
 #[derive(Debug, Clone)]
 struct TransEntry {
-    pa: u32,
-    /// Entry VA the block's folded targets are valid for (== `pa` with
+    /// Entry VA the block's folded targets are valid for (== its PA with
     /// mapping off).
     va: u32,
-    gen: u32,
     block: Arc<[Uop]>,
     /// Recorded chain successor (an entry VA), if the block's terminal
     /// branch was observed landing on another translated block.
@@ -191,78 +190,55 @@ struct TransEntry {
 /// (`Arc<[Uop]>`) so the dispatch loop executes them in place — no
 /// remove/reinsert churn, and an eviction by a colliding insert cannot
 /// free a block mid-execution.
-#[derive(Debug)]
 pub(crate) struct TransCache {
-    slots: Box<[Option<TransEntry>; TSLOTS]>,
-    /// Generation counter: bumping it is an O(1) `invalidate_all`.
-    gen: u32,
+    slots: SlotTable<TransEntry, { TSLOTS / SEG_SLOTS }>,
     stats: TransStats,
 }
 
 impl TransCache {
     pub fn new() -> TransCache {
         TransCache {
-            slots: vec![None; TSLOTS]
-                .into_boxed_slice()
-                .try_into()
-                .unwrap_or_else(|_| unreachable!()),
-            gen: 0,
+            slots: SlotTable::new(),
             stats: TransStats::default(),
         }
     }
 
+    /// The current-generation entry keyed by `(pa, va)`.
     #[inline]
-    fn slot(pa: u32) -> usize {
-        pa as usize & (TSLOTS - 1)
+    fn entry(&self, pa: u32, va: u32) -> Option<&TransEntry> {
+        self.slots.get(pa).filter(|e| e.va == va)
     }
 
     /// The current-generation block keyed by `(pa, va)`, shared in place.
     #[inline]
     fn get(&self, pa: u32, va: u32) -> Option<Arc<[Uop]>> {
-        match self.slots[Self::slot(pa)] {
-            Some(ref e) if e.pa == pa && e.va == va && e.gen == self.gen => {
-                Some(Arc::clone(&e.block))
-            }
-            _ => None,
-        }
+        self.entry(pa, va).map(|e| Arc::clone(&e.block))
     }
 
     /// Inserts a block under the current generation (no successor yet).
     fn insert(&mut self, pa: u32, va: u32, block: Arc<[Uop]>) {
-        self.slots[Self::slot(pa)] = Some(TransEntry {
+        self.slots.insert(
             pa,
-            va,
-            gen: self.gen,
-            block,
-            succ: None,
-        });
+            TransEntry {
+                va,
+                block,
+                succ: None,
+            },
+        );
     }
 
     /// The recorded chain successor of the current-generation block at
     /// `(pa, va)`, if any.
     #[inline]
     fn succ_of(&self, pa: u32, va: u32) -> Option<u32> {
-        match self.slots[Self::slot(pa)] {
-            Some(ref e) if e.pa == pa && e.va == va && e.gen == self.gen => e.succ,
-            _ => None,
-        }
+        self.entry(pa, va)?.succ
     }
 
-    /// Records `succ` (an entry VA) as the chain successor of `(pa, va)`.
-    fn set_succ(&mut self, pa: u32, va: u32, succ: u32) {
-        if let Some(e) = self.slots[Self::slot(pa)].as_mut() {
-            if e.pa == pa && e.va == va && e.gen == self.gen {
-                e.succ = Some(succ);
-            }
-        }
-    }
-
-    /// Severs the recorded successor link of `(pa, va)`.
-    fn sever(&mut self, pa: u32, va: u32) {
-        if let Some(e) = self.slots[Self::slot(pa)].as_mut() {
-            if e.pa == pa && e.va == va && e.gen == self.gen {
-                e.succ = None;
-            }
+    /// Sets (`Some`) or severs (`None`) the recorded successor link of
+    /// `(pa, va)`; a no-op when no such block is cached.
+    fn link(&mut self, pa: u32, va: u32, succ: Option<u32>) {
+        if let Some(e) = self.slots.get_mut(pa).filter(|e| e.va == va) {
+            e.succ = succ;
         }
     }
 
@@ -270,11 +246,8 @@ impl TransCache {
     /// tier switches, cost-model changes, snapshot import). Successor
     /// links die with their entries — a generation bump orphans them all.
     pub fn invalidate_all(&mut self) {
-        self.gen = self.gen.wrapping_add(1);
+        self.slots.invalidate_all();
         self.stats.invalidations += 1;
-        if self.gen == 0 {
-            self.slots.fill(None);
-        }
     }
 
     /// Invalidates all blocks whose entry lies in physical page `pfn`
@@ -283,15 +256,14 @@ impl TransCache {
     /// the page from surviving predecessors go stale here; they are
     /// severed (and counted) when next followed.
     pub fn invalidate_page(&mut self, pfn: u32) {
-        let first = Self::slot(pfn << PAGE_SHIFT);
-        for idx in first..first + PAGE_BYTES as usize {
-            if let Some(e) = &self.slots[idx] {
-                if e.pa >> PAGE_SHIFT == pfn {
-                    self.slots[idx] = None;
-                }
-            }
-        }
+        self.slots.invalidate_page(pfn);
         self.stats.invalidations += 1;
+    }
+
+    /// Bytes of block-entry storage allocated so far (the blocks' µops
+    /// are shared allocations of their own).
+    pub fn resident_bytes(&self) -> usize {
+        self.slots.resident_bytes()
     }
 
     pub fn stats(&self) -> TransStats {
@@ -405,7 +377,7 @@ impl Machine {
                     }
                 }
             };
-            self.trans.set_succ(pa, va, next_va);
+            self.trans.link(pa, va, Some(next_va));
             self.trans.stats.chain_hits += 1;
             follows += 1;
             pa = next_pa;
@@ -495,7 +467,7 @@ impl Machine {
     /// edge can no longer be followed, sever and count the dead link.
     fn sever_stale_link(&mut self, pa: u32, va: u32, next_va: u32) {
         if self.trans.succ_of(pa, va) == Some(next_va) {
-            self.trans.sever(pa, va);
+            self.trans.link(pa, va, None);
             self.trans.stats.chain_links_severed += 1;
         }
     }
@@ -1004,11 +976,11 @@ mod tests {
         let mut t = TransCache::new();
         t.insert(0x1000, 0x1000, block_of(1));
         assert_eq!(t.succ_of(0x1000, 0x1000), None);
-        t.set_succ(0x1000, 0x1000, 0x2000);
+        t.link(0x1000, 0x1000, Some(0x2000));
         assert_eq!(t.succ_of(0x1000, 0x1000), Some(0x2000));
-        t.sever(0x1000, 0x1000);
+        t.link(0x1000, 0x1000, None);
         assert_eq!(t.succ_of(0x1000, 0x1000), None);
-        t.set_succ(0x1000, 0x1000, 0x2000);
+        t.link(0x1000, 0x1000, Some(0x2000));
         // A generation bump orphans links with their entries.
         t.invalidate_all();
         assert_eq!(t.succ_of(0x1000, 0x1000), None);

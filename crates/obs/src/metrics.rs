@@ -367,6 +367,7 @@ fn prom_help(name: &str) -> &'static str {
         "trans_chain_hits" => "Direct superblock-to-superblock chain follows",
         "trans_chain_links_severed" => "Stale successor links severed after invalidation",
         "trans_invalidations" => "Translation-cache invalidation events",
+        "code_cache_resident_bytes" => "Bytes of decode or translation cache slots allocated",
         "profile_samples" => "Profiler interval samples taken",
         "profile_overflow_cycles" => "Sampled cycles past the PC-bucket cap",
         "profile_dirty_rate" => "Pages newly dirtied per profiler sampling interval",
@@ -391,6 +392,8 @@ fn prom_help(name: &str) -> &'static str {
         "vaxd_forked_children_live" => "Forked children currently serving requests",
         "vaxd_children_leaked" => "Forked children still alive after shutdown drain",
         "vaxd_request_latency_us" => "Wall-clock request service latency in microseconds",
+        "vaxd_fork_us" => "Wall-clock fork time of each forked request in microseconds",
+        "vaxd_run_us" => "Wall-clock payload run time of each forked request in microseconds",
         "vaxd_tenant_frames_in_use" => "Real frames admitted to in-flight requests, by tenant",
         "vaxd_tenant_children_live" => "Forked children currently live, by tenant",
         "superblock_cycles_retired" => "Cycles retired per profiled superblock",

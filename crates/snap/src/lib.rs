@@ -186,10 +186,12 @@ pub fn restore_chain<D: AsRef<[u8]>>(base: &[u8], deltas: &[D]) -> Result<Monito
 /// The child is a complete, independent monitor built directly over a
 /// [`PhysMemory::fork`] of the parent's memory, sharing every page
 /// until one side writes it. Cost: one word per page of machine
-/// memory for the child's page table, a fresh CPU (its decoded-
-/// instruction cache starts cold), and a clone of the image's non-memory
-/// state — no memory contents are copied or zeroed; a page is copied
-/// when either side first writes it. A never-forked parent's memory
+/// memory for the child's page table, a fresh CPU whose decode and
+/// translation caches hold no storage until the child decodes (each
+/// allocates a small segment of slots on its first insert there), and
+/// a clone of the image's non-memory state — no memory contents are
+/// copied or zeroed; a page is copied when either side first writes
+/// it. A never-forked parent's memory
 /// becomes the shared base without a copy; a parent that wrote pages
 /// since its previous fork pays one `O(memory)` merge on its next.
 /// Parent and child both resume bit-identically to an unforked run.

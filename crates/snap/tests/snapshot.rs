@@ -112,6 +112,25 @@ fn fork_children_share_memory_and_resume_identically() {
     }
 }
 
+/// A child's decode cache costs what the child decodes: 64 fresh
+/// children hold no cache storage at all, and running one grows only
+/// that child's.
+#[test]
+fn fork_children_start_with_no_cache_storage() {
+    let decode_bytes = |m: &Monitor| {
+        m.metrics()
+            .get_labeled_gauge("code_cache_resident_bytes", "cache", "decode")
+            .expect("exported")
+    };
+    let mut parent = os_monitor();
+    let mut children = fork_monitor(&mut parent, 64).expect("fork");
+    assert!(children.iter().all(|c| decode_bytes(c) == 0.0));
+    assert_eq!(children[5].run(FINISH), RunExit::AllHalted);
+    for (i, child) in children.iter().enumerate() {
+        assert_eq!(decode_bytes(child) > 0.0, i == 5, "child {i}");
+    }
+}
+
 #[test]
 fn midflight_migration_preserves_guest_output() {
     // Regression: a guest migrated *after* it has enabled memory

@@ -11,8 +11,9 @@
 //!   [`vax_snap::fork_child`] — `fork_monitor` amortized: capture once,
 //!   fork many. The parent monitor itself is dropped: a fork needs its
 //!   memory, not its CPU caches. A fork copies no memory: it costs one
-//!   word per page plus a fresh CPU, and the child then pays 512 bytes
-//!   per page it writes;
+//!   word per page plus a fresh CPU whose caches start empty, and the
+//!   child then pays 512 bytes per page it writes and one small cache
+//!   segment per 64-slot range its payload's code decodes into;
 //! * the full snapshot bytes, encoded from the image and the parent's
 //!   memory, which make [`WarmBase::run_standalone`] an *independent*
 //!   oracle — a restored-from-bytes monitor running the same payload

@@ -457,7 +457,8 @@ fn serve_run(
     let requested = if budget == 0 { u64::MAX } else { budget };
     let (ticket, effective_budget) = inner.admission.admit(tenant, frame_cost, requested)?;
     // Fork under the lock (no memory copied: one word per page and a
-    // fresh CPU); run outside it.
+    // fresh CPU whose caches are empty until it decodes); run outside it.
+    let forking = Instant::now();
     let mut child = {
         let mut bases = lock_unpoisoned(&inner.bases);
         let b = bases
@@ -468,7 +469,12 @@ fn serve_run(
     };
     inner.stats.forks_total.fetch_add(1, Ordering::Relaxed);
     inner.in_flight.fetch_add(1, Ordering::SeqCst);
+    let running = Instant::now();
     let result = run_payload(&mut child, payload, effective_budget);
+    inner.stats.observe_fork_run_us(
+        running.duration_since(forking).as_micros() as u64,
+        running.elapsed().as_micros() as u64,
+    );
     // Reap before responding: dropping the child releases its
     // copy-on-write reference on the base; the admission ticket then
     // releases the tenant's slot and frames. Only after both does the

@@ -1,7 +1,7 @@
 //! Daemon-level serving metrics.
 //!
 //! Hot-path updates are relaxed atomics (one `fetch_add` per event);
-//! the latency histogram and per-tenant ledger sit behind mutexes taken
+//! the timing histograms and per-tenant ledger sit behind mutexes taken
 //! once per request. [`DaemonStats::to_metrics`] snapshots everything
 //! into a [`vax_obs::Metrics`] registry, which the `/metrics` endpoint
 //! renders with the repo's existing Prometheus exposition — the daemon
@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use vax_obs::{Histogram, Metrics};
 
-/// Counters, gauges, and the request-latency histogram for one daemon.
+/// Counters, gauges, and the timing histograms for one daemon.
 #[derive(Debug, Default)]
 pub struct DaemonStats {
     /// Requests read off a connection (any verb).
@@ -29,11 +29,21 @@ pub struct DaemonStats {
     pub forks_total: AtomicU64,
     /// Children reaped (dropped, memory returned to the base).
     pub children_reaped: AtomicU64,
-    /// Wall-clock request latency in microseconds (fork → response).
-    latency_us: Mutex<Histogram>,
+    /// Wall-clock histograms in microseconds.
+    timings: Mutex<Timings>,
     /// `reason token -> count` for rejects; `tenant -> ok count` for
     /// completions.
     by_label: Mutex<ByLabel>,
+}
+
+#[derive(Debug, Default)]
+struct Timings {
+    /// Request latency of `OK` requests (admission → response).
+    latency_us: Histogram,
+    /// The copy-on-write fork of every request that forked.
+    fork_us: Histogram,
+    /// Payload injection and guest run of every request that forked.
+    run_us: Histogram,
 }
 
 #[derive(Debug, Default)]
@@ -45,7 +55,14 @@ struct ByLabel {
 impl DaemonStats {
     /// Records one completed request's latency.
     pub fn observe_latency_us(&self, us: u64) {
-        lock_unpoisoned(&self.latency_us).record(us);
+        lock_unpoisoned(&self.timings).latency_us.record(us);
+    }
+
+    /// Records how long one request's fork and payload run took.
+    pub fn observe_fork_run_us(&self, fork_us: u64, run_us: u64) {
+        let mut t = lock_unpoisoned(&self.timings);
+        t.fork_us.record(fork_us);
+        t.run_us.record(run_us);
     }
 
     /// Records an `OK` completion for `tenant`.
@@ -72,11 +89,6 @@ impl DaemonStats {
         self.forks_total
             .load(Ordering::Relaxed)
             .saturating_sub(self.children_reaped.load(Ordering::Relaxed))
-    }
-
-    /// Snapshot of the latency histogram.
-    pub fn latency_snapshot(&self) -> Histogram {
-        lock_unpoisoned(&self.latency_us).clone()
     }
 
     /// Snapshots everything into a metrics registry.
@@ -114,8 +126,13 @@ impl DaemonStats {
             "vaxd_forked_children_live",
             Some(self.children_live() as f64),
         )
-        .gauge("vaxd_children_leaked", Some(children_leaked as f64))
-        .histogram("vaxd_request_latency_us", &self.latency_snapshot());
+        .gauge("vaxd_children_leaked", Some(children_leaked as f64));
+        {
+            let t = lock_unpoisoned(&self.timings);
+            m.histogram("vaxd_request_latency_us", &t.latency_us)
+                .histogram("vaxd_fork_us", &t.fork_us)
+                .histogram("vaxd_run_us", &t.run_us);
+        }
         {
             let labels = lock_unpoisoned(&self.by_label);
             let mut rejects: Vec<_> = labels.rejects.iter().collect();
@@ -199,10 +216,39 @@ mod tests {
         );
         let h = m.get_histogram("vaxd_request_latency_us").expect("present");
         assert_eq!(h.count(), 2);
+        // Fork and run phases are present (empty) before any request forks.
+        for phase in ["vaxd_fork_us", "vaxd_run_us"] {
+            assert_eq!(m.get_histogram(phase).map(Histogram::count), Some(0));
+        }
 
         let prom = m.to_prometheus();
         assert!(prom.contains("vax_vaxd_requests_ok_by_tenant{tenant=\"alice\"} 2"));
         assert!(prom.contains("# TYPE vax_vaxd_requests_total counter"));
+    }
+
+    #[test]
+    fn fork_and_run_phases_are_histograms() {
+        let s = DaemonStats::default();
+        s.observe_fork_run_us(40, 90);
+        s.observe_fork_run_us(60, 110);
+        s.observe_latency_us(210);
+        let m = s.to_metrics(&[], 0);
+        let fork = m.get_histogram("vaxd_fork_us").expect("fork phase");
+        let run = m.get_histogram("vaxd_run_us").expect("run phase");
+        assert_eq!((fork.count(), fork.sum()), (2, 100));
+        assert_eq!((run.count(), run.sum()), (2, 200));
+        let prom = m.to_prometheus();
+        for (family, help) in [
+            ("vaxd_fork_us", "# HELP vax_vaxd_fork_us Wall-clock"),
+            ("vaxd_run_us", "# HELP vax_vaxd_run_us Wall-clock"),
+        ] {
+            assert!(prom.contains(help), "{prom}");
+            assert!(
+                prom.contains(&format!("# TYPE vax_{family} histogram\n")),
+                "{prom}"
+            );
+            assert!(prom.contains(&format!("vax_{family}_count 2\n")), "{prom}");
+        }
     }
 
     #[test]

@@ -275,6 +275,66 @@ fn exec_tier_gauge_names_the_tier_that_ran() {
     assert!(prom.contains("vax_exec_tier{tier=\"trans\"} 2\n"), "{prom}");
 }
 
+/// Cache storage is a level per cache, allocated as code first runs: a
+/// fresh fork holds none, a VM guest on the default cache tier fills
+/// only the decode cache (VM mode never translates), and a hot bare loop
+/// on the trans tier fills the translation cache.
+#[test]
+fn code_cache_resident_bytes_follow_the_code_that_ran() {
+    let resident = |m: &vax_vmm::Metrics, cache: &str| {
+        m.get_labeled_gauge("code_cache_resident_bytes", "cache", cache)
+            .expect("exported per cache")
+    };
+    let program = vax_asm::assemble_text(GUEST, 0x1000).unwrap();
+    let mut parent = Monitor::new(MonitorConfig::default());
+    let vm = parent.create_vm("guest", VmConfig::default());
+    let mut child = vax_snap::fork_monitor(&mut parent, 1)
+        .expect("fork")
+        .remove(0);
+    let m = child.metrics();
+    assert_eq!(resident(&m, "decode"), 0.0);
+    assert_eq!(resident(&m, "trans"), 0.0);
+    let prom = m.to_prometheus();
+    assert_eq!(
+        prom.matches("# TYPE vax_code_cache_resident_bytes gauge\n")
+            .count(),
+        1,
+        "{prom}"
+    );
+    assert!(
+        prom.contains("vax_code_cache_resident_bytes{cache=\"decode\"} 0\n"),
+        "{prom}"
+    );
+
+    child
+        .vm_write_phys(vm, program.base, &program.bytes)
+        .unwrap();
+    child.boot_vm(vm, program.base);
+    assert_eq!(child.run(500_000_000), RunExit::AllHalted);
+    let m = child.metrics();
+    assert!(resident(&m, "decode") > 0.0);
+    assert_eq!(resident(&m, "trans"), 0.0);
+
+    let hot = "
+            movl #2000, r0
+        top:
+            addl2 r0, r1
+            sobgtr r0, top
+            halt
+        ";
+    let program = vax_asm::assemble_text(hot, 0x1000).unwrap();
+    let mut bare = Machine::new(MachineVariant::Standard, 64 * 1024);
+    bare.set_exec_tier(ExecTier::Trans);
+    bare.mem_mut()
+        .write_slice(program.base, &program.bytes)
+        .unwrap();
+    bare.set_pc(program.base);
+    while bare.step() == StepEvent::Ok {}
+    let m = bare.metrics();
+    assert!(m.get_counter("trans_blocks_executed").unwrap() > 0);
+    assert!(resident(&m, "trans") > 0.0);
+}
+
 /// Like [`run_guest`] with the sink sampling densely; the simulation
 /// outcome must match the unobserved runs bit for bit.
 fn run_guest_profiled() -> (Monitor, u64, CpuCounters) {
