@@ -178,6 +178,10 @@ fn run_vm_mtpr(mtpr_iters: u32) -> VmMtprReport {
 
     let counters = monitor.machine().counters();
     let dc = monitor.machine().decode_cache_stats();
+    assert_eq!(
+        dc.invalidations, 0,
+        "world switches and emulated MTPRs must keep the decode cache"
+    );
     let obs = monitor.obs().expect("tracing enabled");
     let h = obs.histogram(ExitCause::EmulMtprIpl);
     assert_eq!(h.count(), mtpr_iters as u64, "every MTPR must trap");

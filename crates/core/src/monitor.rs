@@ -705,9 +705,6 @@ impl Monitor {
         mmu.set_p1lr(p1lr);
         mmu.set_mapen(true);
         mmu.tlb_mut().invalidate_all();
-        // World switches rewrite the whole MMU outside write_ipr, so the
-        // machine's own decode-cache hooks never see them.
-        self.machine.invalidate_decode_cache();
     }
 
     /// Refreshes the real MMU base registers after an emulation changed

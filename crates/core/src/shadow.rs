@@ -376,7 +376,6 @@ impl ShadowSet {
             self.slots[i].key = None;
         }
         machine.mmu_mut().tlb_mut().invalidate_all();
-        machine.invalidate_decode_cache();
     }
 
     /// Clears the active slot's process tables (guest changed P0/P1 base
@@ -387,7 +386,6 @@ impl ShadowSet {
         null_fill(machine, slot.p1_pa, self.config.p1_capacity);
         self.slots[self.active].key = None;
         machine.mmu_mut().tlb_mut().invalidate_process();
-        machine.invalidate_decode_cache();
     }
 
     /// Switches the active shadow process tables for a guest context

@@ -931,7 +931,6 @@ impl Machine {
         self.mmu.set_p1br(p1br);
         self.mmu.set_p1lr(p1lr & 0x3f_ffff);
         self.mmu.tlb_mut().invalidate_process();
-        self.invalidate_code_caches();
         // Push the saved PSL and PC for the REI that completes the switch.
         self.push(psl).map_err(Abort::Fault)?;
         self.push(pc).map_err(Abort::Fault)?;

@@ -14,10 +14,13 @@
 //! at a new virtual address, the bytes — and hence the template — are
 //! unchanged, and all VA-dependent values (branch targets, PC-relative
 //! effective addresses) are recomputed from the live PC at
-//! materialization. What physical keying does *not* survive is the bytes
+//! materialization. So no mapping event (TBIA, TBIS, MAPEN, a region
+//! register, LDPCTX, a VMM world switch) touches the cache; those change
+//! only the TLB. What physical keying does *not* survive is the bytes
 //! themselves changing, so [`PhysMemory`](vax_mem::PhysMemory) tracks
 //! writes to pages holding cached code and the machine invalidates the
-//! affected pages before the next decode.
+//! affected pages before the next decode. The only whole-cache drops are
+//! a switch to the interpreter tier and a snapshot import.
 //!
 //! Templates never span a page: an instruction whose bytes cross a page
 //! boundary falls back to bytewise decode every time.
@@ -397,8 +400,8 @@ impl DecodeCacheStats {
 struct Entry {
     /// Saturating execution counter, bumped on every cache hit. The
     /// translation tier reads this to find hot block heads; dropping the
-    /// entry (any invalidation) drops the heat with it, so remapped or
-    /// rewritten pages cannot retranslate from stale hotness.
+    /// entry (any invalidation) drops the heat with it, so rewritten
+    /// pages cannot retranslate from stale hotness.
     heat: u32,
     tpl: InstTemplate,
 }
@@ -480,15 +483,15 @@ impl DecodeCache {
         self.slots.insert(pa, Entry { heat: 0, tpl });
     }
 
-    /// Invalidates everything (TBIA, MAPEN/base-register writes, LDPCTX,
-    /// explicit VMM requests).
+    /// Invalidates everything (a switch to the interpreter tier, a
+    /// snapshot import).
     pub fn invalidate_all(&mut self) {
         self.slots.invalidate_all();
         self.stats.invalidations += 1;
     }
 
     /// Invalidates all entries whose opcode byte lies in physical page
-    /// `pfn`.
+    /// `pfn` (a store to it).
     pub fn invalidate_page(&mut self, pfn: u32) {
         self.slots.invalidate_page(pfn);
         self.stats.invalidations += 1;

@@ -364,26 +364,11 @@ impl Machine {
         self.exec_tier
     }
 
-    /// Drops every decoded-instruction cache entry and translated
-    /// superblock. Embedders (the VMM) call this after rewriting guest
-    /// page tables or memory images outside the machine's own store paths.
-    pub fn invalidate_decode_cache(&mut self) {
-        self.invalidate_code_caches();
-    }
-
-    /// Drops all derived-code state: decode-cache templates and
-    /// translated superblocks. Every invalidation edge that kills one
-    /// must kill both.
-    pub(crate) fn invalidate_code_caches(&mut self) {
-        self.icache.invalidate_all();
-        self.invalidate_translations();
-    }
-
     /// Drops every translated superblock, telling the sink.
     fn invalidate_translations(&mut self) {
         self.trans.invalidate_all();
         if let ObsSink::On(o) = &mut self.obs {
-            o.sb_invalidate(None, self.cycles);
+            o.sb_invalidate(self.cycles);
         }
     }
 
@@ -1018,30 +1003,12 @@ impl Machine {
             Ssp => self.set_sp_for_mode(AccessMode::Supervisor, value),
             Usp => self.set_sp_for_mode(AccessMode::User, value),
             Isp => self.set_isp(value),
-            P0br => {
-                self.mmu.set_p0br(value);
-                self.invalidate_code_caches();
-            }
-            P0lr => {
-                self.mmu.set_p0lr(value & 0x3f_ffff);
-                self.invalidate_code_caches();
-            }
-            P1br => {
-                self.mmu.set_p1br(value);
-                self.invalidate_code_caches();
-            }
-            P1lr => {
-                self.mmu.set_p1lr(value & 0x3f_ffff);
-                self.invalidate_code_caches();
-            }
-            Sbr => {
-                self.mmu.set_sbr(value);
-                self.invalidate_code_caches();
-            }
-            Slr => {
-                self.mmu.set_slr(value & 0x3f_ffff);
-                self.invalidate_code_caches();
-            }
+            P0br => self.mmu.set_p0br(value),
+            P0lr => self.mmu.set_p0lr(value & 0x3f_ffff),
+            P1br => self.mmu.set_p1br(value),
+            P1lr => self.mmu.set_p1lr(value & 0x3f_ffff),
+            Sbr => self.mmu.set_sbr(value),
+            Slr => self.mmu.set_slr(value & 0x3f_ffff),
             Pcbb => self.pcbb = value,
             Scbb => self.scbb = value,
             Ipl => self.psl.set_ipl((value & 0x1f) as u8),
@@ -1060,32 +1027,9 @@ impl Machine {
             Rxcs | Txcs => {} // interrupt enables unimplemented (polled I/O)
             Rxdb => return Err(Exception::ReservedOperand),
             Txdb => self.console.tx_log.push(value as u8),
-            Mapen => {
-                self.mmu.set_mapen(value & 1 != 0);
-                self.invalidate_code_caches();
-            }
-            Tbia => {
-                self.mmu.tlb_mut().invalidate_all();
-                self.invalidate_code_caches();
-            }
-            Tbis => {
-                // Targeted decode-cache invalidation needs the physical
-                // page; the TLB entry (peeked before it is dropped)
-                // provides it. With no entry the mapping is unknown —
-                // invalidate everything to stay conservative.
-                let va = VirtAddr::new(value);
-                match self.mmu.tlb().peek(va) {
-                    Some(e) => {
-                        self.icache.invalidate_page(e.pfn);
-                        self.trans.invalidate_page(e.pfn);
-                        if let ObsSink::On(o) = &mut self.obs {
-                            o.sb_invalidate(Some(e.pfn), self.cycles);
-                        }
-                    }
-                    None => self.invalidate_code_caches(),
-                }
-                self.mmu.tlb_mut().invalidate_single(va);
-            }
+            Mapen => self.mmu.set_mapen(value & 1 != 0),
+            Tbia => self.mmu.tlb_mut().invalidate_all(),
+            Tbis => self.mmu.tlb_mut().invalidate_single(VirtAddr::new(value)),
             Sid => return Err(Exception::ReservedOperand),
             Memsize | Kcall | Ioreset => return Err(Exception::ReservedOperand),
         }
@@ -1308,7 +1252,8 @@ impl Machine {
         self.exit_stamp = state.exit_stamp;
         self.counters = state.counters;
         self.halted = state.halted;
-        self.invalidate_code_caches();
+        self.icache.invalidate_all();
+        self.invalidate_translations();
         self.mem.clear_all_code_pages();
     }
 

@@ -10,11 +10,11 @@
 //! machine holds storage only for the slots its code maps to. Lookups
 //! never allocate: a lookup in an unallocated segment is a miss.
 //!
-//! The table also owns the generation that makes whole-cache
-//! invalidation O(1): an entry records the generation it was inserted
-//! under, and only current-generation entries hit. On the (astronomically
-//! unlikely) generation wrap, stale entries could alias the new
-//! generation, so every segment is dropped.
+//! An entry dies when a store changes its page's bytes
+//! ([`SlotTable::invalidate_page`]) or when an event changes what every
+//! entry means ([`SlotTable::invalidate_all`], which drops the storage).
+//! Mapping events never reach the table: it is keyed by physical
+//! address.
 
 use vax_arch::{PAGE_BYTES, PAGE_SHIFT};
 
@@ -25,11 +25,9 @@ use vax_arch::{PAGE_BYTES, PAGE_SHIFT};
 /// allocating the whole cache up front.
 pub(crate) const SEG_SLOTS: usize = 64;
 
-/// One occupied slot: the entry's key, its generation and the cache's
-/// payload.
+/// One occupied slot: the entry's key and the cache's payload.
 struct Slot<T> {
     pa: u32,
-    gen: u32,
     val: T,
 }
 
@@ -42,8 +40,6 @@ pub(crate) struct SlotTable<T, const SEGS: usize> {
     /// proves every segment index in bounds, so lookups compile without
     /// bounds checks.
     segs: Box<[Option<Box<Segment<T>>>; SEGS]>,
-    /// Generation counter: bumping it is an O(1) `invalidate_all`.
-    gen: u32,
     /// Segments allocated.
     allocated: usize,
 }
@@ -59,7 +55,6 @@ impl<T, const SEGS: usize> SlotTable<T, SEGS> {
         }
         SlotTable {
             segs: empty(),
-            gen: 0,
             allocated: 0,
         }
     }
@@ -71,48 +66,41 @@ impl<T, const SEGS: usize> SlotTable<T, SEGS> {
         (slot / SEG_SLOTS, slot % SEG_SLOTS)
     }
 
-    /// The current-generation entry keyed by `pa`.
+    /// The entry keyed by `pa`.
     #[inline]
     pub fn get(&self, pa: u32) -> Option<&T> {
         let (s, i) = Self::index(pa);
         match self.segs[s].as_deref()?[i] {
-            Some(ref e) if e.pa == pa && e.gen == self.gen => Some(&e.val),
+            Some(ref e) if e.pa == pa => Some(&e.val),
             _ => None,
         }
     }
 
-    /// The current-generation entry keyed by `pa`, mutably.
+    /// The entry keyed by `pa`, mutably.
     #[inline]
     pub fn get_mut(&mut self, pa: u32) -> Option<&mut T> {
         let (s, i) = Self::index(pa);
         match self.segs[s].as_deref_mut()?[i] {
-            Some(ref mut e) if e.pa == pa && e.gen == self.gen => Some(&mut e.val),
+            Some(ref mut e) if e.pa == pa => Some(&mut e.val),
             _ => None,
         }
     }
 
-    /// Stores `val` under `pa` in the current generation, evicting
-    /// whatever held its slot. Allocates the slot's segment on first use.
+    /// Stores `val` under `pa`, evicting whatever held its slot.
+    /// Allocates the slot's segment on first use.
     pub fn insert(&mut self, pa: u32, val: T) {
         let (s, i) = Self::index(pa);
         let seg = self.segs[s].get_or_insert_with(|| {
             self.allocated += 1;
             empty()
         });
-        seg[i] = Some(Slot {
-            pa,
-            gen: self.gen,
-            val,
-        });
+        seg[i] = Some(Slot { pa, val });
     }
 
-    /// Invalidates every entry by starting a new generation.
+    /// Drops every entry and the storage that held it.
     pub fn invalidate_all(&mut self) {
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == 0 {
-            self.segs.fill_with(|| None);
-            self.allocated = 0;
-        }
+        self.segs.fill_with(|| None);
+        self.allocated = 0;
     }
 
     /// Drops every entry keyed by a PA in physical page `pfn`. Those
@@ -205,29 +193,22 @@ mod tests {
     }
 
     #[test]
-    fn generation_bump_kills_entries_in_place() {
+    fn invalidate_all_drops_every_entry_and_segment() {
         let mut t = Table::new();
-        t.insert(0x1000, 1);
-        let bytes = t.resident_bytes();
+        let pas = [0x1000, 0x3000, 0x1000 + PAGE * 16 + 4, 0x7fff_fffc];
+        for (v, &pa) in pas.iter().enumerate() {
+            t.insert(pa, v as u32);
+        }
+        assert!(t.resident_bytes() > 0);
         t.invalidate_all();
-        assert!(t.get(0x1000).is_none());
-        // Storage stays for the next generation's entries.
-        assert_eq!(t.resident_bytes(), bytes);
-        t.insert(0x1000, 2);
-        assert_eq!(t.get(0x1000), Some(&2));
-    }
-
-    #[test]
-    fn generation_wrap_drops_every_segment() {
-        let mut t = Table::new();
-        t.insert(0x1000, 1); // generation 0
-        t.gen = u32::MAX; // 2^32 - 1 invalidations later
-        t.insert(0x3000, 2);
-        t.invalidate_all();
-        assert_eq!(t.gen, 0);
-        // Without the purge the generation-0 entry would hit again.
-        assert!(t.get(0x1000).is_none());
-        assert!(t.get(0x3000).is_none());
+        for pa in pas {
+            assert!(t.get(pa).is_none());
+            assert!(t.get_mut(pa).is_none());
+        }
         assert_eq!(t.resident_bytes(), 0);
+        // The table refills from empty.
+        t.insert(0x1000, 9);
+        assert_eq!(t.get(0x1000), Some(&9));
+        assert_eq!(t.resident_bytes(), std::mem::size_of::<Segment<u32>>());
     }
 }

@@ -12,13 +12,13 @@
 //!
 //! # Mapped guests and the inline TLB fast path
 //!
-//! With memory mapping on, blocks are keyed by **(entry PA, entry VA,
-//! generation)**: the PA identifies the code bytes (and the page whose
-//! rewrite invalidates them), the VA fixes the branch targets and
-//! PC-relative bases folded in at translate time, and the generation dies
-//! on every mapping-visible event. A block only starts (or is chained
+//! With memory mapping on, blocks are keyed by **(entry PA, entry VA)**:
+//! the PA identifies the code bytes (and the page whose rewrite
+//! invalidates them), and the VA fixes the branch targets and PC-relative
+//! bases folded in at translate time. A block only starts (or is chained
 //! into) when the software TLB already holds an executable translation of
-//! its code page — probed counter-free — and every memory-touching µop
+//! its code page — probed counter-free — so it runs only under a mapping
+//! that resolves its entry VA to its entry PA, and every memory-touching µop
 //! consults the TLB inline: a hit with sufficient protection (and the
 //! modify bit already set, for writes) yields the data PA directly; a
 //! miss, protection mismatch, clear modify bit, page-crossing access, or
@@ -33,14 +33,14 @@
 //!
 //! When a block's terminal branch lands on another translated block's
 //! entry, the dispatch loop follows the edge directly — revalidating only
-//! the entry protocol (code-page TLB probe + generation-checked cache
+//! the entry protocol (code-page TLB probe + `(pa, va)`-checked cache
 //! hit) instead of returning to `step()`'s full gate — and records a
 //! successor link on the predecessor. Links are bookkeeping, not trusted
 //! pointers: every follow revalidates, and a recorded link found dead
-//! (page invalidated by TBIS or self-modifying code) is severed and
-//! counted. At most `MAX_CHAIN_FOLLOWS` (32) edges are followed per `step()`
-//! so callers keep their step-granularity guarantees; interrupt delivery
-//! is checked after every µop regardless.
+//! (the target's code page left the TLB, or its page was rewritten) is
+//! severed and counted. At most `MAX_CHAIN_FOLLOWS` (32) edges are
+//! followed per `step()` so callers keep their step-granularity
+//! guarantees; interrupt delivery is checked after every µop regardless.
 //!
 //! # Gating and the side-exit protocol
 //!
@@ -57,14 +57,15 @@
 //!
 //! # Invalidation edges
 //!
-//! Blocks die on every edge that kills decode-cache entries:
-//! self-modifying code (dirty code-page drain at step entry plus the
-//! mid-block store check above), TBIA/TBIS, MAPEN and page-table base
-//! writes, LDPCTX, snapshot import, memory replacement, and cost-model
-//! changes (cycle charges are folded into µops at translate time).
-//! Whole-cache invalidation is a generation bump that implicitly kills
-//! every successor link; per-page invalidation leaves stale links to be
-//! discovered, severed, and counted at the next follow.
+//! A block dies when the bytes under it change: self-modifying code
+//! (dirty code-page drain at step entry plus the mid-block store check
+//! above). Mapping events (TBIA, TBIS, MAPEN, region registers, LDPCTX)
+//! change only the TLB, which every entry and chain follow consults. The
+//! whole cache is dropped only when what a block means changes: a tier
+//! switch, a cost-model change (cycle charges are folded into µops at
+//! translate time), or a snapshot import; successor links die with their
+//! entries. Per-page invalidation leaves stale links to be discovered,
+//! severed, and counted at the next follow.
 
 use crate::bus::IO_BASE_PA;
 use crate::decode::mask_width;
@@ -184,7 +185,7 @@ struct TransEntry {
 }
 
 /// Direct-mapped cache of translated superblocks keyed by (entry physical
-/// address, entry virtual address, generation). An **empty** block is a
+/// address, entry virtual address). An **empty** block is a
 /// negative marker: the PC is hot but its first instruction does not
 /// lower, so the tier stops re-walking it. Blocks are shared
 /// (`Arc<[Uop]>`) so the dispatch loop executes them in place — no
@@ -203,19 +204,19 @@ impl TransCache {
         }
     }
 
-    /// The current-generation entry keyed by `(pa, va)`.
+    /// The entry keyed by `(pa, va)`.
     #[inline]
     fn entry(&self, pa: u32, va: u32) -> Option<&TransEntry> {
         self.slots.get(pa).filter(|e| e.va == va)
     }
 
-    /// The current-generation block keyed by `(pa, va)`, shared in place.
+    /// The block keyed by `(pa, va)`, shared in place.
     #[inline]
     fn get(&self, pa: u32, va: u32) -> Option<Arc<[Uop]>> {
         self.entry(pa, va).map(|e| Arc::clone(&e.block))
     }
 
-    /// Inserts a block under the current generation (no successor yet).
+    /// Inserts a block (no successor yet).
     fn insert(&mut self, pa: u32, va: u32, block: Arc<[Uop]>) {
         self.slots.insert(
             pa,
@@ -227,8 +228,7 @@ impl TransCache {
         );
     }
 
-    /// The recorded chain successor of the current-generation block at
-    /// `(pa, va)`, if any.
+    /// The recorded chain successor of the block at `(pa, va)`, if any.
     #[inline]
     fn succ_of(&self, pa: u32, va: u32) -> Option<u32> {
         self.entry(pa, va)?.succ
@@ -242,16 +242,15 @@ impl TransCache {
         }
     }
 
-    /// Invalidates every block (TBIA, MAPEN/base-register writes, LDPCTX,
-    /// tier switches, cost-model changes, snapshot import). Successor
-    /// links die with their entries — a generation bump orphans them all.
+    /// Invalidates every block (tier switches, cost-model changes,
+    /// snapshot import). Successor links die with their entries.
     pub fn invalidate_all(&mut self) {
         self.slots.invalidate_all();
         self.stats.invalidations += 1;
     }
 
     /// Invalidates all blocks whose entry lies in physical page `pfn`
-    /// (self-modifying code, TBIS). Blocks never span a page, so the
+    /// (self-modifying code). Blocks never span a page, so the
     /// entry's page covers every instruction in the block. Links *into*
     /// the page from surviving predecessors go stale here; they are
     /// severed (and counted) when next followed.
@@ -942,7 +941,7 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_all_is_generational() {
+    fn invalidate_all_drops_every_block() {
         let mut t = TransCache::new();
         t.insert(0x1000, 0x1000, block_of(1));
         t.invalidate_all();
@@ -972,7 +971,7 @@ mod tests {
     }
 
     #[test]
-    fn successor_links_follow_the_entry_generation() {
+    fn successor_links_die_with_their_entries() {
         let mut t = TransCache::new();
         t.insert(0x1000, 0x1000, block_of(1));
         assert_eq!(t.succ_of(0x1000, 0x1000), None);
@@ -981,10 +980,10 @@ mod tests {
         t.link(0x1000, 0x1000, None);
         assert_eq!(t.succ_of(0x1000, 0x1000), None);
         t.link(0x1000, 0x1000, Some(0x2000));
-        // A generation bump orphans links with their entries.
+        // Dropping the cache drops links with their entries.
         t.invalidate_all();
         assert_eq!(t.succ_of(0x1000, 0x1000), None);
-        // Re-inserting under the new generation starts unlinked.
+        // A re-inserted block starts unlinked.
         t.insert(0x1000, 0x1000, block_of(1));
         assert_eq!(t.succ_of(0x1000, 0x1000), None);
     }

@@ -95,7 +95,7 @@ pub(crate) enum MovXf {
 
 /// The operation a µop performs. Branch targets are absolute virtual
 /// addresses (== physical with mapping off; under mapping they are valid
-/// for the (entry PA, entry VA, generation) key the block is cached by).
+/// for the (entry PA, entry VA) key the block is cached by).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum UopKind {
     /// NOP.

@@ -1,6 +1,6 @@
 //! The decoded-instruction cache: invisibility (cycles and counters are
 //! bit-identical with the cache on or off), self-modifying-code
-//! invalidation, and the invalidation hooks.
+//! invalidation, and mapping events leaving the cache alone.
 
 use vax_arch::{MachineVariant, Opcode, Psl};
 use vax_asm::{Asm, Operand, Reg};
@@ -126,15 +126,82 @@ fn self_modifying_code_is_observed() {
     assert!(m.decode_cache_stats().invalidations > 0);
 }
 
+/// Steps `m` until its PC returns to `pc` (at least one step).
+fn run_until_pc(m: &mut Machine, pc: u32) {
+    loop {
+        assert_eq!(m.step(), StepEvent::Ok, "at pc={:#x}", m.pc());
+        if m.pc() == pc {
+            return;
+        }
+    }
+}
+
+/// The cache is keyed by physical address, so a mapping event changes
+/// nothing it holds: after a warm pass, TBIA, TBIS, MAPEN writes, every
+/// region register and an LDPCTX leave a re-run with no new miss and
+/// no invalidation.
 #[test]
-fn tbia_and_mapen_flush_the_cache() {
-    let code = compute_loop(50);
+fn mapping_changes_keep_the_decode_cache() {
+    use vax_arch::Ipr;
+    const PCB: u32 = 0x6000;
+    // Each pass ends in an LDPCTX whose PCB resumes the loop at 0x1000
+    // through the REI.
+    let mut a = Asm::new(0x1000);
+    a.movl(Operand::Imm(50), Operand::Reg(Reg::R2)).unwrap();
+    a.clrl(Operand::Reg(Reg::R3)).unwrap();
+    let top = a.label();
+    a.bind(top).unwrap();
+    a.inst(
+        Opcode::Addl2,
+        &[Operand::Reg(Reg::R2), Operand::Reg(Reg::R3)],
+    )
+    .unwrap();
+    a.inst(
+        Opcode::Xorl2,
+        &[Operand::Imm(0x55AA), Operand::Reg(Reg::R3)],
+    )
+    .unwrap();
+    a.inst(
+        Opcode::Sobgtr,
+        &[Operand::Reg(Reg::R2), Operand::Branch(top)],
+    )
+    .unwrap();
+    a.inst(Opcode::Ldpctx, &[]).unwrap();
+    a.inst(Opcode::Rei, &[]).unwrap();
+    let code = a.assemble().unwrap().bytes;
+
     let mut m = kernel_machine(&code, ExecTier::Cache);
-    run_to_halt(&mut m);
-    let before = m.decode_cache_stats().invalidations;
-    m.write_ipr(vax_arch::Ipr::Tbia, 0).unwrap();
-    m.write_ipr(vax_arch::Ipr::Mapen, 0).unwrap();
-    assert_eq!(m.decode_cache_stats().invalidations, before + 2);
+    let pcb = [(0, 0x8000), (72, 0x1000), (76, m.psl().raw())];
+    for (off, v) in pcb {
+        m.mem_mut().write_u32(PCB + off, v).unwrap();
+    }
+    m.write_ipr(Ipr::Pcbb, PCB).unwrap();
+    run_until_pc(&mut m, 0x1000);
+    let warm = m.decode_cache_stats();
+    assert!(warm.misses > 0 && warm.hits > 0, "{warm:?}");
+
+    for (ipr, value) in [
+        (Ipr::Tbia, 0),
+        (Ipr::Tbis, 0x1000),
+        (Ipr::Mapen, 1),
+        (Ipr::Mapen, 0),
+        (Ipr::P0br, 0x8000_4000),
+        (Ipr::P0lr, 64),
+        (Ipr::P1br, 0x8000_5000),
+        (Ipr::P1lr, 0x20_0000),
+        (Ipr::Sbr, 0x4_0000),
+        (Ipr::Slr, 128),
+    ] {
+        m.write_ipr(ipr, value).unwrap();
+    }
+    // The re-run executes the LDPCTX.
+    let switches = m.counters().context_switches;
+    run_until_pc(&mut m, 0x1000);
+    assert_eq!(m.counters().context_switches, switches + 1);
+    let rerun = m.decode_cache_stats();
+    assert_eq!(rerun.invalidations, warm.invalidations, "{rerun:?}");
+    assert_eq!(rerun.misses, warm.misses, "{rerun:?}");
+    assert!(rerun.hits > warm.hits);
 }
 
 #[test]

@@ -2,14 +2,15 @@
 //! three-way bit-identity contract on a hot compute loop, self-modifying
 //! code that overwrites a currently translated superblock, cost-model
 //! retuning, and the tier-selection API itself — plus the mapped-mode
-//! contract: blocks keyed by (entry PA, entry VA, generation) running
-//! through the inline TLB fast path with direct chaining, and every
-//! invalidation edge (TBIS on a linked successor's page, MAPEN/TBIA
-//! toggles, self-modifying stores landing mid-chain) severing links and
-//! re-converging bit-identically with the interpreter.
+//! contract: blocks keyed by (entry PA, entry VA) running through the
+//! inline TLB fast path with direct chaining. Self-modifying stores
+//! landing mid-chain kill blocks; mapping events (TBIS on a linked
+//! successor's page, MAPEN/TBIA toggles, a code page remapped to other
+//! bytes) change only the TLB, and every tier re-converges
+//! bit-identically with the interpreter.
 
 use vax_arch::{CostModel, MachineVariant, Protection, Psl, Pte};
-use vax_cpu::{CpuCounters, ExecTier, Machine, StepEvent};
+use vax_cpu::{CpuCounters, ExecTier, Machine, StepEvent, TransStats};
 
 /// S-space base virtual address.
 const S_BASE: u32 = 0x8000_0000;
@@ -71,20 +72,32 @@ fn machine_with(code: &[u8], tier: ExecTier) -> Machine {
 }
 
 fn run_to_halt(m: &mut Machine) -> Outcome {
+    run_to_halt_sampling(m, &[]).0
+}
+
+/// Like [`run_to_halt`], also returning the translation statistics
+/// right after each step that started at one of `pcs`, in order.
+fn run_to_halt_sampling(m: &mut Machine, pcs: &[u32]) -> (Outcome, Vec<TransStats>) {
+    let mut samples = Vec::new();
     for _ in 0..1_000_000 {
+        let pc = m.pc();
         match m.step() {
             StepEvent::Ok => {}
             StepEvent::Halted(_) => break,
             other => panic!("unexpected {other:?} at pc={:#x}", m.pc()),
         }
+        if pcs.contains(&pc) {
+            samples.push(m.trans_stats());
+        }
     }
     assert!(m.halted(), "program must halt");
-    Outcome {
+    let outcome = Outcome {
         regs: std::array::from_fn(|i| m.reg(i)),
         psl_raw: m.psl().raw(),
         cycles: m.cycles(),
         counters: m.counters(),
-    }
+    };
+    (outcome, samples)
 }
 
 fn compute_loop(iters: u32) -> Vec<u8> {
@@ -275,33 +288,37 @@ fn mapped_loop_is_bit_identical_and_chains_across_pages() {
 }
 
 #[test]
-fn tbis_on_linked_successor_page_severs_chain_and_reconverges() {
+fn tbis_on_linked_successor_page_severs_the_link_and_keeps_the_block() {
     // The loop head lives on page 8, the tail on page 9, and the two
     // chain together once hot. At iteration 200 the guest issues
-    // TBIS 0x1200, killing the TLB entry and translations for the tail
-    // page while the head block (and its successor link) survive. The
-    // next follow from the head must discover the stale edge, sever it,
-    // and fall back to the interpreter until the tail re-heats.
+    // TBIS 0x1200 from the head page, dropping the tail page's TLB
+    // entry. Translations are keyed by physical address, so the tail
+    // block stays: the next follow into it finds its code page out of
+    // the TLB, severs the link and leaves the fetch to the interpreter,
+    // which refills the TLB, and the same tail block then runs and
+    // chains again without being retranslated.
     let src = "
             movl #400, r2
             clrl r3
         top:
             addl3 #7, r3, r4
             xorl2 r4, r3
+            cmpl r2, #200
+            bneq skip
+        tbis:
+            mtpr #0x1200, #58
+        skip:
             brw far
             .align 512
         far:
             addl2 #3, r3
-            cmpl r2, #200
-            bneq skip
-            mtpr #0x1200, #58
-        skip:
             sobgtr r2, back
             halt
         back:
             brw top
     ";
-    let bytes = vax_asm::assemble_text(src, 0x1000).unwrap().bytes;
+    let (program, syms) = vax_asm::assemble_text_with_symbols(src, 0x1000).unwrap();
+    let bytes = program.bytes;
     // `far` must sit exactly at VA 0x1200 — the TBIS operand above.
     assert_eq!(bytes[0x200], 0xC0, "far: addl2 must land at 0x1200");
 
@@ -312,18 +329,27 @@ fn tbis_on_linked_successor_page_severs_chain_and_reconverges() {
     assert_eq!(run_to_halt(&mut cached), oracle);
 
     let mut trans = mapped_machine_with(&bytes, ExecTier::Trans);
-    assert_eq!(run_to_halt(&mut trans), oracle);
-    let ts = trans.trans_stats();
-    assert!(ts.chain_hits > 0, "chain must form before the TBIS");
+    let start = trans.trans_stats();
+    let (got, at_tbis) = run_to_halt_sampling(&mut trans, &[syms["tbis"]]);
+    assert_eq!(got, oracle);
+    let (at_tbis, ts) = (at_tbis[0], trans.trans_stats());
+    assert!(at_tbis.chain_hits > 0, "chain must form before the TBIS");
     assert!(
-        ts.chain_links_severed >= 1,
-        "TBIS on the successor page must sever the stale link (severed {})",
+        ts.chain_links_severed > at_tbis.chain_links_severed,
+        "the follow into the dropped page must sever the link (severed {})",
         ts.chain_links_severed
     );
-    assert!(ts.invalidations >= 1);
+    assert_eq!(
+        ts.invalidations, start.invalidations,
+        "a TBIS invalidates no translation"
+    );
+    assert_eq!(
+        ts.blocks_translated, at_tbis.blocks_translated,
+        "the tail page must not be retranslated after the TBIS"
+    );
     assert!(
-        ts.blocks_translated > ts.invalidations,
-        "the tail page must be retranslated after the TBIS"
+        ts.chain_hits > at_tbis.chain_hits,
+        "chaining must resume after the TBIS"
     );
 }
 
@@ -332,9 +358,10 @@ fn mapen_toggles_and_tbia_mid_run_stay_bit_identical() {
     // Under an identity map the same PCs are valid mapped and unmapped,
     // so the guest can flip MAPEN off (iteration 220) and back on
     // (iteration 100), with a TBIA thrown in at iteration 150 while
-    // running unmapped. Every toggle bumps the translation generation;
-    // superblocks must re-form in each regime and the run must stay
-    // bit-identical with the interpreter throughout.
+    // running unmapped. None of them invalidates a translation: a block
+    // keyed by (PA, VA) means the same under either regime, so blocks
+    // keep executing across every toggle and the run stays bit-identical
+    // with the interpreter throughout.
     let src = "
             movl #300, r2
             clrl r3
@@ -343,20 +370,24 @@ fn mapen_toggles_and_tbia_mid_run_stay_bit_identical() {
             xorl2 r4, r3
             cmpl r2, #220
             bneq skip1
+        off:
             mtpr #0, #56
         skip1:
             cmpl r2, #150
             bneq skip2
+        tbia:
             mtpr #0, #57
         skip2:
             cmpl r2, #100
             bneq skip3
+        on:
             mtpr #1, #56
         skip3:
             sobgtr r2, top
             halt
     ";
-    let bytes = vax_asm::assemble_text(src, 0x1000).unwrap().bytes;
+    let (program, syms) = vax_asm::assemble_text_with_symbols(src, 0x1000).unwrap();
+    let bytes = program.bytes;
 
     let mut interp = mapped_machine_with(&bytes, ExecTier::Interp);
     let oracle = run_to_halt(&mut interp);
@@ -365,18 +396,92 @@ fn mapen_toggles_and_tbia_mid_run_stay_bit_identical() {
     assert_eq!(run_to_halt(&mut cached), oracle);
 
     let mut trans = mapped_machine_with(&bytes, ExecTier::Trans);
-    assert_eq!(run_to_halt(&mut trans), oracle);
+    let start = trans.trans_stats();
+    let toggles = [syms["off"], syms["tbia"], syms["on"]];
+    let (got, at) = run_to_halt_sampling(&mut trans, &toggles);
+    assert_eq!(got, oracle);
     let ts = trans.trans_stats();
+    assert_eq!(
+        ts.invalidations, start.invalidations,
+        "MAPEN writes and the TBIA invalidate no translation"
+    );
+    assert_eq!(at.len(), 3, "each toggle runs once");
+    let executed: Vec<u64> = at.iter().chain([&ts]).map(|s| s.blocks_executed).collect();
     assert!(
-        ts.invalidations >= 3,
-        "each MAPEN write and the TBIA must invalidate (got {})",
-        ts.invalidations
+        executed[0] > 0 && executed.windows(2).all(|w| w[1] > w[0]),
+        "blocks must execute between every pair of toggles: {executed:?}"
     );
     assert!(
         ts.blocks_executed > 100,
-        "superblocks must re-form after every toggle (got {})",
+        "superblocks must run across the toggles (got {})",
         ts.blocks_executed
     );
+}
+
+#[test]
+fn remapped_code_page_runs_the_new_bytes_on_every_tier() {
+    // A 300-iteration loop JSBs into VA 0x1400. Physical page A (0x1400,
+    // the identity frame) adds 1 to r3 and page B (0x1600) adds 100. At
+    // iteration 200 the guest points the VA's P0 PTE at B and at
+    // iteration 100 back at A, each rewrite followed by `flush`. Both
+    // pages' code stays cached under its own PA; which one runs is the
+    // TLB's call. With a flush every tier runs B for 100 iterations;
+    // without one every tier keeps running A through the stale TLB
+    // entry.
+    const A: u32 = 0x1400;
+    const B: u32 = 0x1600;
+    let pte = |pa: u32| Pte::build(pa >> 9, Protection::Kw, true, true).raw();
+    let pte_va = S_BASE + P0_TABLE_PA + 4 * (A >> 9);
+    let p0br = format!("mtpr #{:#x}, #8", S_BASE + P0_TABLE_PA);
+    let routine = |n: u32| {
+        vax_asm::assemble_text(&format!("addl2 #{n}, r3\n rsb"), 0)
+            .unwrap()
+            .bytes
+    };
+    for (flush, want) in [
+        ("mtpr #0x1400, #58", 10_200),
+        ("mtpr #0, #57", 10_200),
+        (p0br.as_str(), 10_200),
+        ("", 300),
+    ] {
+        let src = format!(
+            "
+                movl #300, r2
+                clrl r3
+            top:
+                jsb @#{A:#x}
+                cmpl r2, #200
+                bneq skip1
+                movl #{pte_b:#x}, @#{pte_va:#x}
+                {flush}
+            skip1:
+                cmpl r2, #100
+                bneq skip2
+                movl #{pte_a:#x}, @#{pte_va:#x}
+                {flush}
+            skip2:
+                sobgtr r2, top
+                halt
+            ",
+            pte_a = pte(A),
+            pte_b = pte(B),
+        );
+        let bytes = vax_asm::assemble_text(&src, 0x1000).unwrap().bytes;
+        assert!(0x1000 + bytes.len() as u32 <= A, "loop stays below page A");
+        let run = |tier: ExecTier| {
+            let mut m = mapped_machine_with(&bytes, tier);
+            m.mem_mut().write_slice(A, &routine(1)).unwrap();
+            m.mem_mut().write_slice(B, &routine(100)).unwrap();
+            let outcome = run_to_halt(&mut m);
+            (outcome, m.trans_stats())
+        };
+        let (oracle, _) = run(ExecTier::Interp);
+        assert_eq!(oracle.regs[3], want, "flush {flush:?}");
+        assert_eq!(run(ExecTier::Cache).0, oracle, "cache, flush {flush:?}");
+        let (got, ts) = run(ExecTier::Trans);
+        assert_eq!(got, oracle, "trans, flush {flush:?}");
+        assert!(ts.blocks_executed > 0, "flush {flush:?}: blocks must run");
+    }
 }
 
 #[test]

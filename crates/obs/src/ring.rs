@@ -8,8 +8,7 @@ use crate::cause::ExitCause;
 pub enum SuperblockEvent {
     /// A superblock was formed at `pa` (`arg` = µop count).
     Translate,
-    /// Translated blocks were invalidated (`arg` = 1 if targeted at the
-    /// page containing `pa`, 0 for a whole-cache invalidation).
+    /// Every translated block was invalidated (`pa` and `arg` are 0).
     Invalidate,
     /// A self-modifying-code drain killed the blocks in page `arg`
     /// (`pa` = the page's base physical address).
@@ -48,7 +47,7 @@ pub enum TraceEvent {
         kind: SuperblockEvent,
         /// Entry (or page base) physical address.
         pa: u32,
-        /// Kind-specific argument (µop count / targeted flag / pfn).
+        /// Kind-specific argument (µop count / 0 / pfn).
         arg: u32,
     },
 }

@@ -17,9 +17,9 @@ struct Pending {
     cause: ExitCause,
     start: u64,
     /// The exit record's sequence number in the ring. Other records can
-    /// be pushed while the exit is pending (emulating TBIA invalidates
-    /// translated code) and may overwrite it in a small ring, so the
-    /// record is patched only while the ring still holds it.
+    /// be pushed while the exit is pending (an emulated-MMIO single step
+    /// can drain a rewritten code page) and may overwrite it in a small
+    /// ring, so the record is patched only while the ring still holds it.
     seq: u64,
 }
 
@@ -177,12 +177,10 @@ impl Obs {
         self.prof.note_translate(pa, len, heat);
     }
 
-    /// Translated superblocks were invalidated: all of them (`None`), or
-    /// those entered in physical page `pfn` (`Some(pfn)`, a TBIS).
-    pub fn sb_invalidate(&mut self, page: Option<u32>, now: u64) {
-        let (pa, arg) = page.map_or((0, 0), |pfn| (pfn << PAGE_SHIFT, 1));
-        self.push_superblock(SuperblockEvent::Invalidate, pa, arg, now);
-        self.prof.note_invalidate(page);
+    /// Every translated superblock was invalidated.
+    pub fn sb_invalidate(&mut self, now: u64) {
+        self.push_superblock(SuperblockEvent::Invalidate, 0, 0, now);
+        self.prof.note_invalidate(None);
     }
 
     /// A self-modifying-code drain killed the superblocks in physical
@@ -309,7 +307,7 @@ mod tests {
     fn an_overwritten_pending_exit_patches_nothing() {
         let mut o = on(1);
         o.exit_begin(ExitCause::EmulMtprOther, 0x1000, 0, 100);
-        o.sb_invalidate(None, 150);
+        o.sb_invalidate(150);
         o.refine(ExitCause::EmulMtprIpl);
         o.exit_end(190);
         assert_eq!(o.histogram(ExitCause::EmulMtprIpl).sum(), 90);

@@ -41,18 +41,28 @@ fn digest(m: &Monitor) -> (String, String, Vec<String>) {
     )
 }
 
-const PARTIAL: u64 = 300_000;
+/// Mid-run: the guest has turned memory mapping on and has work left.
+const PARTIAL: u64 = 50_000;
 const FINISH: u64 = 50_000_000;
+
+/// Runs `m` for [`PARTIAL`] cycles and checks that its guest is still
+/// running, mapped: what a test then snapshots, forks or migrates is a
+/// guest whose code caches must be rebuilt under its page tables.
+fn run_partial(m: &mut Monitor) {
+    assert_eq!(m.run(PARTIAL), RunExit::BudgetExhausted);
+    let vm = m.vm_ids().next().expect("one VM");
+    assert!(m.vm(vm).guest_mapen, "the guest has turned mapping on");
+}
 
 #[test]
 fn restore_resumes_bit_identical_to_uninterrupted_run() {
     // Reference: never snapshotted, same call boundaries.
     let mut reference = os_monitor();
-    reference.run(PARTIAL);
+    run_partial(&mut reference);
     let exit_ref = reference.run(FINISH);
 
     let mut original = os_monitor();
-    original.run(PARTIAL);
+    run_partial(&mut original);
     let bytes = snapshot_monitor(&original).expect("snapshot");
     let mut restored = restore_monitor(&bytes).expect("restore");
     let exit_restored = restored.run(FINISH);
@@ -70,7 +80,7 @@ fn restore_resumes_bit_identical_to_uninterrupted_run() {
 #[test]
 fn snapshot_bytes_are_deterministic_and_round_trip() {
     let mut monitor = os_monitor();
-    monitor.run(PARTIAL);
+    run_partial(&mut monitor);
     let a = snapshot_monitor(&monitor).expect("first snapshot");
     let b = snapshot_monitor(&monitor).expect("second snapshot");
     assert_eq!(a, b, "same state, same bytes");
@@ -82,12 +92,12 @@ fn snapshot_bytes_are_deterministic_and_round_trip() {
 #[test]
 fn fork_children_share_memory_and_resume_identically() {
     let mut reference = os_monitor();
-    reference.run(PARTIAL);
+    run_partial(&mut reference);
     reference.run(FINISH);
     let want = digest(&reference);
 
     let mut parent = os_monitor();
-    parent.run(PARTIAL);
+    run_partial(&mut parent);
     let mut children = fork_monitor(&mut parent, 3).expect("fork");
     assert_eq!(children.len(), 3);
     for child in &children {
@@ -138,13 +148,13 @@ fn midflight_migration_preserves_guest_output() {
     // history (the counting-guest migration test never turns mapping
     // on, so it cannot catch a stale S window).
     let mut reference = os_monitor();
-    reference.run(PARTIAL);
+    run_partial(&mut reference);
     assert_eq!(reference.run(FINISH), RunExit::AllHalted);
     let rid = reference.vm_ids().next().expect("one VM");
 
     let mut fleet = Fleet::new();
     let mut source = os_monitor();
-    source.run(PARTIAL);
+    run_partial(&mut source);
     fleet.push(source);
     fleet.push(Monitor::new(MonitorConfig::default()));
     let vm = fleet.monitor(0).vm_ids().next().expect("one VM");

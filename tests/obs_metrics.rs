@@ -4,11 +4,11 @@
 //! MTPR-to-IPL is an order of magnitude more expensive virtualized, and
 //! one ring must hold exits and superblock events without mixing them up.
 
-use vax_arch::{MachineVariant, Psl};
+use vax_arch::{MachineVariant, Protection, Psl, Pte};
 use vax_cpu::{CpuCounters, ExecTier, Machine, StepEvent};
 use vax_vmm::{
-    ExitCause, Fleet, Monitor, MonitorConfig, ObsSink, RunExit, TraceEvent, VmConfig,
-    DEFAULT_SAMPLE_INTERVAL,
+    ExitCause, Fleet, IoStrategy, Monitor, MonitorConfig, ObsSink, RunExit, TraceEvent, VmConfig,
+    DEFAULT_SAMPLE_INTERVAL, GUEST_IO_GPFN_BASE,
 };
 
 /// A guest kernel that exercises several exit causes: MTPR-to-IPL (the
@@ -134,19 +134,26 @@ fn exit_trace_records_are_coherent() {
     }
 }
 
-/// Emulating `MTPR #TBIA` invalidates translated code, which pushes a
-/// superblock event into the ring while the TBIA exit is still pending.
-/// In a one-record ring that event overwrites the exit's record: the
-/// exit must still be counted, and its cost must not land on the event.
-/// The guest runs in short slices, and the ring is read after each: a
-/// slice ends right after the TBIA exit, so its event is often the
-/// record a one-record ring holds (the next fetch takes a shadow fill).
+/// A store to a page holding cached code posts a self-modifying-code
+/// drain, a superblock event, at the next decode. The one decode inside
+/// an exit is the emulated-MMIO single step: here a MOVC3 copies into
+/// its own code page, then faults on a source byte in the guest's
+/// device window, and the single step that re-executes it drains the
+/// page while the MMIO exit is still pending. In a one-record ring that
+/// event overwrites the exit's record: the exit must still be counted,
+/// and its cost must not land on the event. The guest runs in short
+/// slices, and the ring is read after each.
 #[test]
 fn pending_exit_survives_an_event_overwriting_its_record() {
     let program = vax_asm::assemble_text(
         "
+            mtpr #0x4000, #12       ; SBR (guest-physical)
+            mtpr #64, #13           ; SLR
+            mtpr #0x80004800, #8    ; P0BR (S va)
+            mtpr #64, #9            ; P0LR
+            mtpr #1, #56            ; MAPEN on
         top:
-            mtpr #0, #57
+            movc3 #8, @#0x5ffc, @#0x1180
             brb top
         ",
         0x1000,
@@ -155,7 +162,24 @@ fn pending_exit_survives_an_event_overwriting_its_record() {
     let run = |ring_capacity: usize| {
         let mut monitor = Monitor::new(MonitorConfig::default());
         monitor.enable_obs(ring_capacity);
-        let vm = monitor.create_vm("tbia", VmConfig::default());
+        let vm = monitor.create_vm(
+            "mmio",
+            VmConfig {
+                io_strategy: IoStrategy::EmulatedMmio,
+                ..VmConfig::default()
+            },
+        );
+        // Identity S and P0 tables (64 pages each), with P0 page 0x30
+        // (VA 0x6000) mapping the device window.
+        for i in 0..64u32 {
+            let p0_pfn = if i == 0x30 { GUEST_IO_GPFN_BASE } else { i };
+            for (table, pfn) in [(0x4000, i), (0x4800, p0_pfn)] {
+                let pte = Pte::build(pfn, Protection::Uw, true, true);
+                monitor
+                    .vm_write_phys(vm, table + 4 * i, &pte.raw().to_le_bytes())
+                    .unwrap();
+            }
+        }
         monitor
             .vm_write_phys(vm, program.base, &program.bytes)
             .unwrap();
@@ -170,12 +194,28 @@ fn pending_exit_survives_an_event_overwriting_its_record() {
                 }
             }
         }
-        assert!(events > 0, "cap {ring_capacity}: TBIA logs invalidations");
+        assert!(events > 0, "cap {ring_capacity}: the stores log drains");
         monitor
     };
     let (one, deep) = (run(1), run(4096));
     let (one, deep) = (one.obs().unwrap(), deep.obs().unwrap());
-    assert!(deep.exits(ExitCause::EmulMtprOther) > 100, "the loop traps");
+    assert!(deep.exits(ExitCause::MmioEmulation) > 100, "the loop traps");
+    // In the deep ring the drain follows its exit's record and falls
+    // inside the exit's span.
+    let records: Vec<_> = deep.trace().iter().collect();
+    assert!(
+        records.windows(2).any(|w| matches!(
+            (w[0].event, w[1].event),
+            (
+                TraceEvent::Exit {
+                    cause: ExitCause::MmioEmulation,
+                    ..
+                },
+                TraceEvent::Superblock { .. },
+            ) if w[1].start_cycles < w[0].start_cycles + w[0].cost_cycles
+        )),
+        "a drain is logged while an MMIO exit is pending"
+    );
     for cause in ExitCause::ALL {
         let (a, b) = (one.histogram(cause), deep.histogram(cause));
         assert_eq!(

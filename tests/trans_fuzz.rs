@@ -354,6 +354,128 @@ proptest! {
     }
 }
 
+/// What a remap loop does after rewriting its code VA's PTE.
+#[derive(Debug, Clone, Copy)]
+enum Flush {
+    Tbis,
+    Tbia,
+    P0br,
+    Nothing,
+}
+
+impl Flush {
+    fn asm(self) -> String {
+        match self {
+            Flush::Tbis => format!("mtpr #{REMAP_VA:#x}, #58"),
+            Flush::Tbia => "mtpr #0, #57".to_string(),
+            Flush::P0br => format!("mtpr #{:#x}, #8", S_BASE + P0_TABLE_PA),
+            Flush::Nothing => String::new(),
+        }
+    }
+}
+
+/// The code VA a remap loop calls, and the physical pages its P0 PTE
+/// may name (the first is the VA's identity frame).
+const REMAP_VA: u32 = 0x1400;
+const REMAP_PAS: [u32; 3] = [0x1400, 0x1600, 0x1800];
+
+/// One target page's code: mostly register-only instructions on R0–R11,
+/// so the loop usually survives to its next remap, and now and then
+/// raw random bytes. Either way it ends in RSB.
+fn remap_target() -> impl Strategy<Value = Vec<u8>> {
+    let reg = || (0u8..12).prop_map(|r| 0x50 | r);
+    let inst = prop_oneof![
+        // ADDL2 #imm32, Rn
+        (any::<u32>(), reg()).prop_map(|(v, r)| {
+            let mut b = vec![0xC0, 0x8F];
+            b.extend(v.to_le_bytes());
+            b.push(r);
+            b
+        }),
+        // XORL2 Ra, Rb / MULL2 Ra, Rb
+        (reg(), reg()).prop_map(|(a, b)| vec![0xCC, a, b]),
+        (reg(), reg()).prop_map(|(a, b)| vec![0xC4, a, b]),
+        // MOVL #lit, Rn / INCL Rn
+        (0u8..64, reg()).prop_map(|(lit, r)| vec![0xD0, lit, r]),
+        reg().prop_map(|r| vec![0xD6, r]),
+    ];
+    let code = prop_oneof![
+        7 => proptest::collection::vec(inst, 1..12).prop_map(|v| v.concat()),
+        1 => proptest::collection::vec(any::<u8>(), 1..48),
+    ];
+    code.prop_map(|mut b| {
+        b.push(0x05); // RSB
+        b
+    })
+}
+
+/// A 40-iteration loop (AP counts down) that JSBs into [`REMAP_VA`]
+/// and, at the iterations `schedule` names, points the VA's P0 PTE at
+/// `REMAP_PAS[target]` and flushes.
+fn remap_loop(schedule: &[(u32, usize, Flush)]) -> Vec<u8> {
+    let pte_va = S_BASE + P0_TABLE_PA + 4 * (REMAP_VA >> 9);
+    let mut src = format!("movl #40, ap\ntop:\njsb @#{REMAP_VA:#x}\n");
+    for (i, &(at, target, flush)) in schedule.iter().enumerate() {
+        let pte = Pte::build(REMAP_PAS[target] >> 9, Protection::Kw, true, true).raw();
+        src += &format!(
+            "cmpl ap, #{at}\nbneq skip{i}\nmovl #{pte:#x}, @#{pte_va:#x}\n{}\nskip{i}:\n",
+            flush.asm()
+        );
+    }
+    src += "sobgtr ap, back\nhalt\nback:\nbrw top\n";
+    let bytes = vax_asm::assemble_text(&src, 0x1000).unwrap().bytes;
+    assert!(
+        0x1000 + bytes.len() as u32 <= REMAP_VA,
+        "the loop stays below its code VA"
+    );
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A mapped loop calls one code VA while rewriting which physical
+    /// page backs it, on a random schedule, each rewrite followed by a
+    /// TBIS of the VA, a TBIA, a P0BR write or nothing. The code caches
+    /// are keyed by physical address and never see the remaps; the TLB
+    /// decides which page runs, stale entries included, so every tier
+    /// must end in the interpreter's state, cycles, counters and memory.
+    #[test]
+    fn code_remaps_are_tier_invariant(
+        targets in proptest::collection::vec(remap_target(), 2..4),
+        schedule in proptest::collection::vec(
+            (
+                1u32..41,
+                0usize..3,
+                prop_oneof![
+                    Just(Flush::Tbis),
+                    Just(Flush::Tbia),
+                    Just(Flush::P0br),
+                    Just(Flush::Nothing),
+                ],
+            ),
+            1..7,
+        ),
+    ) {
+        let schedule: Vec<_> = schedule
+            .into_iter()
+            .map(|(at, t, flush)| (at, t % targets.len(), flush))
+            .collect();
+        let program = remap_loop(&schedule);
+        let run = |tier: ExecTier| {
+            let mut m = mapped_machine(MachineVariant::Modified, &program, tier);
+            for (pa, code) in REMAP_PAS.iter().zip(&targets) {
+                m.mem_mut().write_slice(*pa, code).unwrap();
+            }
+            finish(&mut m, 50_000)
+        };
+        let oracle = run(ExecTier::Interp);
+        for tier in [ExecTier::Cache, ExecTier::Trans] {
+            prop_assert_eq!(&run(tier), &oracle, "{:?} diverged from interpreter", tier);
+        }
+    }
+}
+
 /// Self-modifying code overwriting a *currently translated* superblock:
 /// the loop body runs hot (so it is translated), then patches its own
 /// ADDL2 into SUBL2 mid-loop. Every tier must observe the new bytes on
@@ -650,6 +772,13 @@ fn minivms_edit_trans_in_two_vms_is_tier_invariant() {
             boot_in_monitor(&mut mon, &image, vm_config.clone()),
         ];
         let exit = mon.run(2_000_000_000);
+        if tier != ExecTier::Interp {
+            assert_eq!(
+                mon.machine().decode_cache_stats().invalidations,
+                0,
+                "{tier:?}: world switches and guest TLB flushes keep the decode cache"
+            );
+        }
         let obs = mon.obs().unwrap();
         MonitorOutcome {
             exit,
