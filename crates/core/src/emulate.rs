@@ -1,16 +1,17 @@
 //! Sensitive-instruction emulation and exception reflection — the VMM
 //! half of execution ring compression (paper §4.2).
 //!
-//! Every handler receives the decoded-operand packet the microcode built
-//! (so no instruction parsing happens here), transforms the VM's virtual
-//! privileged state, and resumes the VM at the instruction's successor.
+//! Every handler receives the machine's own decode of the trapped
+//! instruction, every operand parsed (so no instruction parsing happens
+//! here), transforms the VM's virtual privileged state, and resumes the
+//! VM at the instruction's successor.
 
 use crate::fault::{Containment, VmmError};
 use crate::monitor::{compress_mode, Monitor};
 use crate::shadow::FillOutcome;
 use crate::vm::{DirtyStrategy, IoStrategy, VirtualIrq, VmState};
 use vax_arch::{AccessMode, Exception, Ipr, Opcode, Psl, VirtAddr};
-use vax_cpu::{OperandLoc, OperandValue, VmExit, VmTrapInfo};
+use vax_cpu::{DecOp, Decoded, OperandLoc, VmExit};
 use vax_mem::MemFault;
 
 /// Condition-code and trap-enable bits carried between guest PSL images.
@@ -215,10 +216,19 @@ impl Monitor {
     /// Central exit dispatcher. Returns `true` to resume the VM.
     pub(crate) fn handle_exit(&mut self, idx: usize, exit: VmExit) -> bool {
         match exit {
-            VmExit::Emulation(info) => {
+            VmExit::Emulation => {
                 self.vms[idx].vm.stats.emulation_traps += 1;
                 self.charge(self.config.costs.dispatch);
-                self.emulate(idx, *info)
+                // Copied before any handler can step the machine again.
+                match self.machine.trapped_instruction().cloned() {
+                    Some(d) => self.emulate(idx, &d),
+                    None => self.security_halt(
+                        idx,
+                        VmmError::Internal {
+                            what: "emulation trap without a decode",
+                        },
+                    ),
+                }
             }
             VmExit::Exception(e) => {
                 self.charge(self.config.costs.dispatch);
@@ -365,12 +375,12 @@ impl Monitor {
 
         let mut sp = self.vms[idx].vm.stack_slot(target, is);
         let params = e.parameters();
-        let mut frame: Vec<u32> = vec![merged.raw_visible(), pc];
-        for p in params.as_slice().iter().rev() {
-            frame.push(*p);
-        }
+        let frame = [merged.raw_visible(), pc];
         let real_mode = compress_mode(target);
-        for v in frame {
+        for v in frame
+            .into_iter()
+            .chain(params.as_slice().iter().rev().copied())
+        {
             sp = sp.wrapping_sub(4);
             if self
                 .vm_write(idx, VirtAddr::new(sp), v, 4, real_mode)
@@ -472,17 +482,15 @@ impl Monitor {
 
     // ---- instruction emulations ----
 
-    fn emulate(&mut self, idx: usize, info: VmTrapInfo) -> bool {
-        match info.opcode {
-            Opcode::Chmk | Opcode::Chme | Opcode::Chms | Opcode::Chmu => {
-                self.emulate_chm(idx, info)
-            }
-            Opcode::Rei => self.emulate_rei(idx, info),
-            Opcode::Mtpr => self.emulate_mtpr(idx, info),
-            Opcode::Mfpr => self.emulate_mfpr(idx, info),
-            Opcode::Ldpctx => self.emulate_ldpctx(idx, info),
-            Opcode::Svpctx => self.emulate_svpctx(idx, info),
-            Opcode::Prober | Opcode::Probew => self.emulate_probe(idx, info),
+    fn emulate(&mut self, idx: usize, d: &Decoded) -> bool {
+        match d.op {
+            Opcode::Chmk | Opcode::Chme | Opcode::Chms | Opcode::Chmu => self.emulate_chm(idx, d),
+            Opcode::Rei => self.emulate_rei(idx, d),
+            Opcode::Mtpr => self.emulate_mtpr(idx, d),
+            Opcode::Mfpr => self.emulate_mfpr(idx, d),
+            Opcode::Ldpctx => self.emulate_ldpctx(idx, d),
+            Opcode::Svpctx => self.emulate_svpctx(idx, d),
+            Opcode::Prober | Opcode::Probew => self.emulate_probe(idx, d),
             Opcode::Halt => {
                 // Virtual console entry.
                 self.console_halt(idx, "HALT instruction")
@@ -495,8 +503,8 @@ impl Monitor {
                 let vm = &mut self.vms[idx].vm;
                 vm.stats.waits += 1;
                 vm.state = VmState::Idle { until };
-                self.machine.apply_side_effects(&info.reg_side_effects);
-                self.machine.set_pc(info.next_pc);
+                self.machine.commit_reg_updates(d);
+                self.machine.set_pc(d.next_pc);
                 false
             }
             Opcode::Probevmr | Opcode::Probevmw => {
@@ -504,20 +512,17 @@ impl Monitor {
                 // unimplemented-instruction exception to the VM.
                 self.reflect(idx, Exception::ReservedInstruction)
             }
-            other => {
-                // Defensive: anything else is unexpected.
-                let _ = other;
-                self.reflect(idx, Exception::ReservedInstruction)
-            }
+            // Defensive: anything else is unexpected.
+            _ => self.reflect(idx, Exception::ReservedInstruction),
         }
     }
 
-    fn emulate_chm(&mut self, idx: usize, info: VmTrapInfo) -> bool {
+    fn emulate_chm(&mut self, idx: usize, d: &Decoded) -> bool {
         self.charge(self.config.costs.chm);
         self.vms[idx].vm.stats.chm += 1;
-        let code = info.operands[0].value().unwrap_or(0) as u16 as i16 as i32 as u32;
-        let Some(instr_target) = info.opcode.chm_target() else {
-            // Only CHMx opcodes dispatch here; a non-CHM trap info is a
+        let code = d.operand(0).unwrap_or(0) as u16 as i16 as i32 as u32;
+        let Some(instr_target) = d.op.chm_target() else {
+            // Only CHMx opcodes dispatch here; a non-CHM decode is a
             // decoder inconsistency, handled as a reserved instruction
             // rather than a panic.
             return self.reflect(idx, Exception::ReservedInstruction);
@@ -526,13 +531,14 @@ impl Monitor {
         // Change-mode maximizes privilege: a CHM to a less privileged
         // mode stays in the current mode.
         let new_mode = old_cur.most_privileged(instr_target);
-        let merged = info.vm_psl;
+        // The VM's full PSL at the trap ("not just VMPSL", paper §4.2).
+        let merged = self.machine.vmpsl().merge_into(self.machine.psl());
 
         self.save_live_sp(idx);
         // Frame on the *target* mode's stack: (SP)=code, PC, PSL.
         let mut sp = self.vms[idx].vm.stack_slot(new_mode, false);
         let real_mode = compress_mode(new_mode);
-        for v in [merged.raw_visible(), info.next_pc, code] {
+        for v in [merged.raw_visible(), d.next_pc, code] {
             sp = sp.wrapping_sub(4);
             if let Err(out) = self.vm_write(idx, VirtAddr::new(sp), v, 4, real_mode) {
                 // PC still points at the CHM: reflecting the fault lets
@@ -564,13 +570,13 @@ impl Monitor {
                 },
             );
         }
-        self.machine.apply_side_effects(&info.reg_side_effects);
+        self.machine.commit_reg_updates(d);
         self.set_vm_mode(idx, new_mode, old_cur, false, true);
         self.machine.set_pc(handler & !3);
         true
     }
 
-    fn emulate_rei(&mut self, idx: usize, info: VmTrapInfo) -> bool {
+    fn emulate_rei(&mut self, idx: usize, d: &Decoded) -> bool {
         self.charge(self.config.costs.rei);
         self.vms[idx].vm.stats.rei += 1;
         let (cur, is) = {
@@ -613,7 +619,7 @@ impl Monitor {
                 vm.guest_sisr |= 1 << 2;
             }
         }
-        self.machine.apply_side_effects(&info.reg_side_effects);
+        self.machine.commit_reg_updates(d);
         self.set_vm_mode(
             idx,
             img.cur_mode(),
@@ -628,13 +634,12 @@ impl Monitor {
         }
         self.machine.set_psl(psl);
         self.machine.set_pc(new_pc);
-        let _ = info;
         true
     }
 
-    fn emulate_mtpr(&mut self, idx: usize, info: VmTrapInfo) -> bool {
-        let value = info.operands[0].value().unwrap_or(0);
-        let regno = info.operands[1].value().unwrap_or(u32::MAX);
+    fn emulate_mtpr(&mut self, idx: usize, d: &Decoded) -> bool {
+        let value = d.operand(0).unwrap_or(0);
+        let regno = d.operand(1).unwrap_or(u32::MAX);
         let Some(ipr) = Ipr::from_number(regno) else {
             return self.reflect(idx, Exception::ReservedOperand);
         };
@@ -695,20 +700,22 @@ impl Monitor {
             }
             Ipr::Tbia => {
                 let slot = &mut self.vms[idx];
-                let vm_copy = slot.vm.clone();
-                slot.shadow.invalidate_all(&mut self.machine, &vm_copy);
+                slot.shadow
+                    .invalidate_all(&mut self.machine, slot.vm.guest_slr);
             }
             Ipr::Tbis => {
                 let slot = &mut self.vms[idx];
-                let vm_copy = slot.vm.clone();
-                slot.shadow
-                    .invalidate_single(&mut self.machine, &vm_copy, VirtAddr::new(value));
+                slot.shadow.invalidate_single(
+                    &mut self.machine,
+                    slot.vm.guest_slr,
+                    VirtAddr::new(value),
+                );
             }
             Ipr::Mapen => {
                 self.vms[idx].vm.guest_mapen = value & 1 != 0;
                 let slot = &mut self.vms[idx];
-                let vm_copy = slot.vm.clone();
-                slot.shadow.invalidate_all(&mut self.machine, &vm_copy);
+                slot.shadow
+                    .invalidate_all(&mut self.machine, slot.vm.guest_slr);
                 self.refresh_mmu(idx);
             }
             Ipr::Iccs => self.vms[idx].vm.vtimer.write_iccs(value),
@@ -748,15 +755,15 @@ impl Monitor {
                 return self.reflect(idx, Exception::ReservedOperand);
             }
         }
-        self.machine.apply_side_effects(&info.reg_side_effects);
-        self.machine.set_pc(info.next_pc);
+        self.machine.commit_reg_updates(d);
+        self.machine.set_pc(d.next_pc);
         true
     }
 
-    fn emulate_mfpr(&mut self, idx: usize, info: VmTrapInfo) -> bool {
+    fn emulate_mfpr(&mut self, idx: usize, d: &Decoded) -> bool {
         self.charge(self.config.costs.mtpr_other);
         self.vms[idx].vm.stats.mtpr_other += 1;
-        let regno = info.operands[0].value().unwrap_or(u32::MAX);
+        let regno = d.operand(0).unwrap_or(u32::MAX);
         let Some(ipr) = Ipr::from_number(regno) else {
             return self.reflect(idx, Exception::ReservedOperand);
         };
@@ -811,7 +818,7 @@ impl Monitor {
                 }
             }
         };
-        let OperandValue::Location { loc, .. } = info.operands[1] else {
+        let Some(&DecOp::Loc { loc, .. }) = d.operands.get(1) else {
             return self.reflect(idx, Exception::ReservedOperand);
         };
         // The destination write can fault (and the instruction then
@@ -825,12 +832,12 @@ impl Monitor {
                 }
             }
         }
-        self.machine.apply_side_effects(&info.reg_side_effects);
-        self.machine.set_pc(info.next_pc);
+        self.machine.commit_reg_updates(d);
+        self.machine.set_pc(d.next_pc);
         true
     }
 
-    fn emulate_ldpctx(&mut self, idx: usize, info: VmTrapInfo) -> bool {
+    fn emulate_ldpctx(&mut self, idx: usize, d: &Decoded) -> bool {
         self.charge(self.config.costs.context_switch);
         self.vms[idx].vm.stats.guest_context_switches += 1;
         let pcbb = self.vms[idx].vm.guest_pcbb;
@@ -903,11 +910,11 @@ impl Monitor {
             }
         }
         self.machine.set_reg(14, sp);
-        self.machine.set_pc(info.next_pc);
+        self.machine.set_pc(d.next_pc);
         true
     }
 
-    fn emulate_svpctx(&mut self, idx: usize, info: VmTrapInfo) -> bool {
+    fn emulate_svpctx(&mut self, idx: usize, d: &Decoded) -> bool {
         self.charge(self.config.costs.context_switch);
         self.vms[idx].vm.stats.guest_context_switches += 1;
         let pcbb = self.vms[idx].vm.guest_pcbb;
@@ -951,23 +958,23 @@ impl Monitor {
                 },
             );
         }
-        self.machine.set_pc(info.next_pc);
+        self.machine.set_pc(d.next_pc);
         true
     }
 
     /// PROBE trapped: the shadow PTE was invalid (or a write probe was
     /// denied by the shadow). Consult the guest's own tables, fill what
     /// can be filled, and complete the instruction (paper §4.3.2).
-    fn emulate_probe(&mut self, idx: usize, info: VmTrapInfo) -> bool {
+    fn emulate_probe(&mut self, idx: usize, d: &Decoded) -> bool {
         self.charge(self.config.costs.shadow_fill);
         self.vms[idx].vm.stats.shadow_faults += 1;
-        let write = info.opcode == Opcode::Probew;
-        let mode_op = AccessMode::from_bits(info.operands[0].value().unwrap_or(0));
-        let len = (info.operands[1].value().unwrap_or(1) & 0xffff).max(1);
-        let Some(base) = info.operands[2].value() else {
+        let write = d.op == Opcode::Probew;
+        let mode_op = AccessMode::from_bits(d.operand(0).unwrap_or(0));
+        let len = (d.operand(1).unwrap_or(1) & 0xffff).max(1);
+        let Some(base) = d.operand(2) else {
             return self.reflect(idx, Exception::ReservedOperand);
         };
-        let probe_mode = mode_op.least_privileged(info.vm_psl.prv_mode());
+        let probe_mode = mode_op.least_privileged(self.machine.vmpsl().prv_mode());
 
         let mut accessible = true;
         for va in [
@@ -1005,11 +1012,11 @@ impl Monitor {
                 self.vms[idx].vm.stats.probew_extra_traps += 1;
             }
         }
-        self.machine.apply_side_effects(&info.reg_side_effects);
+        self.machine.commit_reg_updates(d);
         let mut psl = self.machine.psl();
         psl.set_nzvc(false, !accessible, false, false);
         self.machine.set_psl(psl);
-        self.machine.set_pc(info.next_pc);
+        self.machine.set_pc(d.next_pc);
         true
     }
 }

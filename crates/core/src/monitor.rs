@@ -6,10 +6,10 @@ use crate::cost::VmmCosts;
 use crate::fault::VmmError;
 use crate::layout::FrameAllocator;
 use crate::shadow::{ShadowConfig, ShadowSet};
-use crate::vm::{DirtyStrategy, IoStrategy, VirtualIrq, VirtualTimer, Vm, VmState, VmStats};
+use crate::vm::{DirtyStrategy, IoStrategy, VirtualIrq, Vm, VmState, VmStats};
 use std::collections::VecDeque;
 use vax_arch::{AccessMode, Exception, MachineVariant, Opcode, Psl, ScbVector, VmPsl};
-use vax_cpu::{ExecTier, Machine, StepEvent, VmExit, IO_BASE_PA};
+use vax_cpu::{ExecTier, IntervalTimer, Machine, StepEvent, VmExit, IO_BASE_PA};
 use vax_obs::{ExitCause, Metrics, Obs, ObsSink, DEFAULT_SAMPLE_INTERVAL};
 
 /// Identifies a VM within a [`Monitor`].
@@ -198,29 +198,9 @@ impl Monitor {
     /// Creates a VM. Its memory is a fixed contiguous block of real
     /// memory presented as guest-physical pages `0..mem_pages` (paper §4).
     pub fn create_vm(&mut self, name: &str, config: VmConfig) -> VmId {
-        self.add_vm(name, config, true)
-    }
-
-    /// Re-creates a VM on a monitor built over memory that already holds
-    /// its tables ([`Monitor::with_mem`]): the same deterministic frame
-    /// allocation as [`Monitor::create_vm`] — VM memory block, real SPT,
-    /// shadow process tables — but the SPT and shadow-table contents are
-    /// left as the memory has them instead of being written fresh. A
-    /// snapshot restore or a copy-on-write fork replays its VMs this way
-    /// and then overwrites the returned VM's state; on a forked memory,
-    /// skipping the table writes is what keeps them shared.
-    pub fn recreate_vm(&mut self, name: &str, config: VmConfig) -> VmId {
-        self.add_vm(name, config, false)
-    }
-
-    fn add_vm(&mut self, name: &str, config: VmConfig, write_tables: bool) -> VmId {
         let base = self.falloc.alloc(config.mem_pages);
-        let shadow = if write_tables {
-            ShadowSet::new(&mut self.machine, &mut self.falloc, config.shadow)
-        } else {
-            ShadowSet::reserve(&mut self.falloc, config.shadow)
-        };
-        let mut vm = Vm {
+        let shadow = ShadowSet::new(&mut self.machine, &mut self.falloc, config.shadow);
+        let vm = Vm {
             name: name.to_string(),
             mem_base_pfn: base,
             mem_pages: config.mem_pages,
@@ -242,7 +222,7 @@ impl Monitor {
             guest_astlvl: 4,
             guest_sisr: 0,
             guest_todr: 0,
-            vtimer: VirtualTimer::default(),
+            vtimer: IntervalTimer::default(),
             console_out: Vec::new(),
             vmm_log: Vec::new(),
             console_in: VecDeque::new(),
@@ -258,6 +238,29 @@ impl Monitor {
             uptime_ticks: 0,
             stats: VmStats::default(),
         };
+        self.install_vm(vm, shadow, &config)
+    }
+
+    /// Re-creates a captured VM on a monitor built over memory that
+    /// already holds its tables ([`Monitor::with_mem`]): the same
+    /// deterministic frame allocation as [`Monitor::create_vm`] — VM
+    /// memory block, real SPT, shadow process tables — but the SPT and
+    /// shadow-table contents are left as the memory has them instead of
+    /// being written fresh, and `vm`, the captured state, is installed
+    /// as it is. A snapshot restore or a copy-on-write fork replays its
+    /// VMs this way; on a forked memory, skipping the table writes is
+    /// what keeps them shared.
+    ///
+    /// Returns `None`, installing nothing, when the allocation does not
+    /// reproduce `vm.mem_base_pfn`: this monitor cannot host the layout
+    /// the captured state encodes.
+    pub fn recreate_vm(&mut self, vm: Vm, config: VmConfig) -> Option<VmId> {
+        let base = self.falloc.alloc(config.mem_pages);
+        let shadow = ShadowSet::reserve(&mut self.falloc, config.shadow);
+        (base == vm.mem_base_pfn).then(|| self.install_vm(vm, shadow, &config))
+    }
+
+    fn install_vm(&mut self, mut vm: Vm, shadow: ShadowSet, config: &VmConfig) -> VmId {
         if config.io_strategy == IoStrategy::EmulatedMmio {
             let base_pa = self.next_io_base;
             self.next_io_base += 4096;
@@ -443,29 +446,33 @@ impl Monitor {
         m
     }
 
-    /// Coarse exit classification from the exit packet alone. Handlers
-    /// refine it once they know more (MTPR target register, whether a
-    /// translation fault is a shadow fill, MMIO, or the guest's own
-    /// fault) via [`Machine::obs_refine`]. Returns the cause and, for
-    /// emulation traps, the trapping instruction's PC.
-    fn classify_exit(exit: &VmExit) -> (ExitCause, Option<u32>) {
+    /// Coarse exit classification from the exit and, for an emulation
+    /// trap, the trapped instruction alone. Handlers refine it once they
+    /// know more (MTPR target register, whether a translation fault is a
+    /// shadow fill, MMIO, or the guest's own fault) via
+    /// [`Machine::obs_refine`]. Returns the cause and, for emulation
+    /// traps, the trapping instruction's PC.
+    fn classify_exit(&self, exit: &VmExit) -> (ExitCause, Option<u32>) {
         match exit {
-            VmExit::Emulation(info) => {
-                let cause = match info.opcode {
-                    Opcode::Chmk | Opcode::Chme | Opcode::Chms | Opcode::Chmu => ExitCause::EmulChm,
-                    Opcode::Rei => ExitCause::EmulRei,
+            VmExit::Emulation => {
+                let trapped = self.machine.trapped_instruction();
+                let cause = match trapped.map(|d| d.op) {
+                    Some(Opcode::Chmk | Opcode::Chme | Opcode::Chms | Opcode::Chmu) => {
+                        ExitCause::EmulChm
+                    }
+                    Some(Opcode::Rei) => ExitCause::EmulRei,
                     // Refined to EmulMtprIpl once the register number is
                     // decoded in emulate_mtpr.
-                    Opcode::Mtpr => ExitCause::EmulMtprOther,
-                    Opcode::Mfpr => ExitCause::EmulMfpr,
-                    Opcode::Ldpctx => ExitCause::EmulLdpctx,
-                    Opcode::Svpctx => ExitCause::EmulSvpctx,
-                    Opcode::Prober | Opcode::Probew => ExitCause::EmulProbe,
-                    Opcode::Wait => ExitCause::EmulWait,
-                    Opcode::Halt => ExitCause::EmulHalt,
+                    Some(Opcode::Mtpr) => ExitCause::EmulMtprOther,
+                    Some(Opcode::Mfpr) => ExitCause::EmulMfpr,
+                    Some(Opcode::Ldpctx) => ExitCause::EmulLdpctx,
+                    Some(Opcode::Svpctx) => ExitCause::EmulSvpctx,
+                    Some(Opcode::Prober | Opcode::Probew) => ExitCause::EmulProbe,
+                    Some(Opcode::Wait) => ExitCause::EmulWait,
+                    Some(Opcode::Halt) => ExitCause::EmulHalt,
                     _ => ExitCause::EmulOther,
                 };
-                (cause, Some(info.pc))
+                (cause, trapped.map(|d| d.pc_start))
             }
             VmExit::Exception(e) => {
                 let cause = match e {
@@ -817,7 +824,7 @@ impl Monitor {
                 // Advance the VM's interval clock by the cycles it just
                 // consumed — it runs only while the VM runs (paper §5).
                 let now = self.machine.cycles();
-                if self.vms[idx].vm.vtimer.advance(now - timer_mark) {
+                if self.vms[idx].vm.vtimer.tick(now - timer_mark) {
                     self.vms[idx].vm.pend_virq(VirtualIrq {
                         ipl: 24,
                         vector: ScbVector::IntervalTimer.offset() as u16,
@@ -845,7 +852,7 @@ impl Monitor {
                     }
                     StepEvent::VmExit(exit) => {
                         if self.machine.obs().is_some() {
-                            let (cause, trap_pc) = Self::classify_exit(&exit);
+                            let (cause, trap_pc) = self.classify_exit(&exit);
                             let pc = trap_pc.unwrap_or_else(|| self.machine.pc());
                             let ring = self.vms[idx].vm.vmpsl.cur_mode().bits() as u8;
                             // The stamp predates the microcode's trap-entry

@@ -352,9 +352,9 @@ impl ShadowSet {
     }
 
     /// Invalidate the shadow PTE for one page (guest TBIS).
-    pub fn invalidate_single(&mut self, machine: &mut Machine, vm: &Vm, va: VirtAddr) {
+    pub fn invalidate_single(&mut self, machine: &mut Machine, guest_slr: u32, va: VirtAddr) {
         if let Some(pa) = self.shadow_pte_pa(va) {
-            let pte = if va.region() == Region::S && va.vpn() >= vm.guest_slr {
+            let pte = if va.region() == Region::S && va.vpn() >= guest_slr {
                 Pte::build(0, Protection::Na, false, false)
             } else {
                 Pte::NULL
@@ -366,9 +366,9 @@ impl ShadowSet {
 
     /// Invalidate everything (guest TBIA): the S window and every cached
     /// process slot.
-    pub fn invalidate_all(&mut self, machine: &mut Machine, vm: &Vm) {
+    pub fn invalidate_all(&mut self, machine: &mut Machine, guest_slr: u32) {
         self.invalidations += 1;
-        self.reset_guest_s(machine, vm.guest_slr);
+        self.reset_guest_s(machine, guest_slr);
         for i in 0..self.slots.len() {
             let slot = self.slots[i];
             null_fill(machine, slot.p0_pa, self.config.p0_capacity);

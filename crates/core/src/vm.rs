@@ -4,6 +4,7 @@
 use crate::fault::VmmError;
 use std::collections::VecDeque;
 use vax_arch::{AccessMode, Psl, VmPsl};
+use vax_cpu::IntervalTimer;
 
 /// How the VMM virtualizes a VM's disk I/O (the paper's §4.4.3 choice and
 /// its ablation).
@@ -54,55 +55,6 @@ pub struct VirtualIrq {
     pub ipl: u8,
     /// Guest SCB vector offset.
     pub vector: u16,
-}
-
-/// The VM's virtual interval clock, advanced only while the VM runs
-/// (paper §5, "Time").
-#[derive(Debug, Clone, Copy, Default)]
-pub struct VirtualTimer {
-    /// Virtual ICCS (RUN/IE/INT bits as on hardware).
-    pub iccs: u32,
-    /// Virtual NICR (negative reload).
-    pub nicr: i64,
-    /// Virtual ICR.
-    pub icr: i64,
-}
-
-impl VirtualTimer {
-    /// RUN bit.
-    pub const RUN: u32 = 1 << 0;
-    /// Transfer NICR to ICR.
-    pub const XFR: u32 = 1 << 4;
-    /// Interrupt enable.
-    pub const IE: u32 = 1 << 6;
-    /// Interrupt pending.
-    pub const INT: u32 = 1 << 7;
-
-    /// Emulates a guest write to ICCS.
-    pub fn write_iccs(&mut self, v: u32) {
-        if v & Self::XFR != 0 {
-            self.icr = self.nicr;
-        }
-        if v & Self::INT != 0 {
-            self.iccs &= !Self::INT;
-        }
-        self.iccs = (self.iccs & Self::INT) | (v & (Self::RUN | Self::IE));
-    }
-
-    /// Advances by `delta` VM-execution cycles; returns true if the timer
-    /// fired (interrupt should be pended).
-    pub fn advance(&mut self, delta: u64) -> bool {
-        if self.iccs & Self::RUN == 0 || self.nicr >= 0 {
-            return false;
-        }
-        self.icr += delta as i64;
-        if self.icr >= 0 {
-            self.iccs |= Self::INT;
-            self.icr = self.nicr;
-            return self.iccs & Self::IE != 0;
-        }
-        false
-    }
 }
 
 /// Per-VM event statistics — the raw material for the paper's evaluation
@@ -212,8 +164,9 @@ pub struct Vm {
     pub guest_sisr: u16,
     /// Guest TODR.
     pub guest_todr: u32,
-    /// Virtual interval timer.
-    pub vtimer: VirtualTimer,
+    /// Virtual interval timer, advanced only while the VM runs (paper
+    /// §5, "Time").
+    pub vtimer: IntervalTimer,
 
     // ---- virtual devices ----
     /// Virtual console output (guest TXDB writes).
@@ -386,7 +339,7 @@ mod tests {
             guest_astlvl: 4,
             guest_sisr: 0,
             guest_todr: 0,
-            vtimer: VirtualTimer::default(),
+            vtimer: IntervalTimer::default(),
             console_out: Vec::new(),
             vmm_log: Vec::new(),
             console_in: VecDeque::new(),
@@ -480,20 +433,6 @@ mod tests {
         assert_eq!(irq.vector as u32, 0x80 + 4 * 5);
         vm.clear_virq(irq);
         assert_eq!(vm.guest_sisr, 0);
-    }
-
-    #[test]
-    fn virtual_timer_fires_only_while_advancing() {
-        let mut t = VirtualTimer {
-            nicr: -100,
-            ..VirtualTimer::default()
-        };
-        t.write_iccs(VirtualTimer::RUN | VirtualTimer::IE | VirtualTimer::XFR);
-        assert!(!t.advance(99));
-        assert!(t.advance(1), "fires at the boundary");
-        assert_eq!(t.icr, -100, "reloaded");
-        t.write_iccs(VirtualTimer::INT | VirtualTimer::RUN | VirtualTimer::IE);
-        assert_eq!(t.iccs & VirtualTimer::INT, 0, "write-1-to-clear");
     }
 
     #[test]

@@ -6,9 +6,9 @@
 use std::collections::VecDeque;
 use vax_arch::{AccessMode, MachineVariant, Protection, Psl, Pte, VirtAddr, VmPsl};
 use vax_asm::assemble_text;
-use vax_cpu::Machine;
+use vax_cpu::{IntervalTimer, Machine};
 use vax_vmm::shadow::FillOutcome;
-use vax_vmm::vm::{DirtyStrategy, IoStrategy, VirtualTimer, Vm, VmState, VmStats};
+use vax_vmm::vm::{DirtyStrategy, IoStrategy, Vm, VmState, VmStats};
 use vax_vmm::{
     ExitCause, FrameAllocator, Monitor, MonitorConfig, RunExit, ShadowConfig, ShadowSet, VmConfig,
     VmId, VmmError,
@@ -54,7 +54,7 @@ fn synthetic_vm() -> Vm {
         guest_astlvl: 4,
         guest_sisr: 0,
         guest_todr: 0,
-        vtimer: VirtualTimer::default(),
+        vtimer: IntervalTimer::default(),
         console_out: Vec::new(),
         vmm_log: Vec::new(),
         console_in: VecDeque::new(),

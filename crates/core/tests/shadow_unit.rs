@@ -3,9 +3,9 @@
 
 use std::collections::VecDeque;
 use vax_arch::{AccessMode, MachineVariant, Protection, Psl, Pte, VirtAddr, VmPsl};
-use vax_cpu::Machine;
+use vax_cpu::{IntervalTimer, Machine};
 use vax_vmm::shadow::FillOutcome;
-use vax_vmm::vm::{DirtyStrategy, IoStrategy, VirtualTimer, Vm, VmState, VmStats};
+use vax_vmm::vm::{DirtyStrategy, IoStrategy, Vm, VmState, VmStats};
 use vax_vmm::{FrameAllocator, ShadowConfig, ShadowSet};
 
 const VM_BASE_PFN: u32 = 512; // VM memory at real 256 KiB
@@ -38,7 +38,7 @@ fn synthetic_vm() -> Vm {
         guest_astlvl: 4,
         guest_sisr: 0,
         guest_todr: 0,
-        vtimer: VirtualTimer::default(),
+        vtimer: IntervalTimer::default(),
         console_out: Vec::new(),
         vmm_log: Vec::new(),
         console_in: VecDeque::new(),
@@ -234,14 +234,13 @@ fn invalidate_single_and_all() {
     let va = VirtAddr::new(0x8000_0000 + 5 * 512);
     shadow.fill(&mut m, &mut vm, va);
     assert!(shadow.read_shadow(&m, va).unwrap().valid());
-    let vm_copy = vm.clone();
-    shadow.invalidate_single(&mut m, &vm_copy, va);
+    shadow.invalidate_single(&mut m, vm.guest_slr, va);
     assert!(
         !shadow.read_shadow(&m, va).unwrap().valid(),
         "TBIS nulls it"
     );
     shadow.fill(&mut m, &mut vm, va);
-    shadow.invalidate_all(&mut m, &vm_copy);
+    shadow.invalidate_all(&mut m, vm.guest_slr);
     assert!(
         !shadow.read_shadow(&m, va).unwrap().valid(),
         "TBIA nulls it"
@@ -310,8 +309,7 @@ fn guest_tbia_clears_every_cached_slot() {
     shadow.fill(&mut m, &mut vm, va);
     shadow.switch_process(&mut m, 0x200);
     // Guest TBIA while process B is active.
-    let vm_copy = vm.clone();
-    shadow.invalidate_all(&mut m, &vm_copy);
+    shadow.invalidate_all(&mut m, vm.guest_slr);
     // Back to A: must be a cache miss (the slot was keyed out), and the
     // old fill is gone.
     assert!(

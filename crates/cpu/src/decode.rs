@@ -9,7 +9,7 @@
 //! fills) correct.
 
 use crate::bus::IO_BASE_PA;
-use crate::event::{OperandLoc, OperandValue};
+use crate::event::OperandLoc;
 use crate::fixedvec::FixedVec;
 use crate::icache::{parse_template, BaseTpl, InstTemplate, OpTpl};
 use crate::machine::{ExecTier, Machine};
@@ -41,11 +41,17 @@ impl From<Exception> for Abort {
 
 /// One decoded operand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum DecOp {
+pub enum DecOp {
     /// Read access: the fetched value (zero-extended to 32 bits).
     Value(u32),
     /// Write or modify access: destination, plus the old value for modify.
-    Loc { loc: OperandLoc, old: Option<u32> },
+    Loc {
+        /// Where the result goes.
+        loc: OperandLoc,
+        /// The current value, for a modify operand; `None` for a plain
+        /// write destination.
+        old: Option<u32>,
+    },
     /// Address access: the effective address.
     Addr(VirtAddr),
     /// Branch displacement: the resolved target PC.
@@ -65,7 +71,7 @@ impl DecOp {
     /// # Panics
     ///
     /// Panics if the operand carries no value (plain write destination).
-    pub fn value(&self) -> u32 {
+    pub(crate) fn value(&self) -> u32 {
         match self {
             DecOp::Value(v) => *v,
             DecOp::Loc { old: Some(v), .. } => *v,
@@ -74,34 +80,30 @@ impl DecOp {
             DecOp::Loc { old: None, .. } => panic!("write operand has no value"),
         }
     }
-
-    /// Converts to the VMM-facing packet representation.
-    pub fn to_operand_value(self) -> OperandValue {
-        match self {
-            DecOp::Value(v) => OperandValue::Value(v),
-            DecOp::Loc { loc, old } => OperandValue::Location { loc, value: old },
-            DecOp::Addr(a) => OperandValue::Address(a),
-            DecOp::Branch(t) => OperandValue::Value(t),
-        }
-    }
 }
 
 /// Register-update list: at most one autoincrement/autodecrement per
 /// specifier, six specifiers per instruction; 8 leaves headroom.
-pub(crate) type RegUpdates = FixedVec<(u8, u32), 8>;
+pub type RegUpdates = FixedVec<(u8, u32), 8>;
 
-/// A fully decoded instruction, ready to execute or to package into a
-/// VM-emulation trap. Inline storage: decoding allocates nothing.
+/// A fully decoded instruction, ready to execute. It is also the
+/// VM-emulation trap's packet (paper §4.2: the microcode parses every
+/// operand before invoking the VMM, which reads it through
+/// [`Machine::trapped_instruction`]). Inline storage: decoding
+/// allocates nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Decoded {
+pub struct Decoded {
+    /// The instruction.
     pub op: Opcode,
     /// PC of the opcode byte.
     pub pc_start: u32,
     /// PC of the following instruction.
     pub next_pc: u32,
+    /// Decoded operands in instruction order.
     pub operands: FixedVec<DecOp, 6>,
     /// Register updates from autoincrement/autodecrement, to apply at
-    /// commit: `(reg, new_value)` in decode order.
+    /// commit ([`Machine::commit_reg_updates`]): `(reg, new_value)` in
+    /// decode order.
     pub reg_updates: RegUpdates,
 }
 
@@ -109,13 +111,26 @@ impl Decoded {
     /// A blank decode result for the out-parameter decode API. Decoding
     /// fills it in place — instruction structures are never moved, which
     /// keeps a couple of hundred bytes of memcpy out of every step.
-    pub fn empty() -> Decoded {
+    pub(crate) fn empty() -> Decoded {
         Decoded {
             op: Opcode::Nop,
             pc_start: 0,
             next_pc: 0,
             operands: FixedVec::new(),
             reg_updates: FixedVec::new(),
+        }
+    }
+
+    /// Operand `i`'s value: the fetched value of a read operand, the
+    /// current value of a modify operand, the effective address of an
+    /// address operand or the target of a branch. `None` for a plain
+    /// write destination or past the last operand, so reading a trapped
+    /// guest instruction cannot panic.
+    pub fn operand(&self, i: usize) -> Option<u32> {
+        match *self.operands.get(i)? {
+            DecOp::Value(v) | DecOp::Branch(v) | DecOp::Loc { old: Some(v), .. } => Some(v),
+            DecOp::Addr(a) => Some(a.raw()),
+            DecOp::Loc { old: None, .. } => None,
         }
     }
 }
@@ -660,17 +675,11 @@ impl Machine {
         Ok(())
     }
 
-    /// Applies decode-time register side effects (autoincrement etc.).
-    pub(crate) fn commit_reg_updates(&mut self, d: &Decoded) {
+    /// Applies decode-time register side effects (autoincrement etc.):
+    /// at retire, or by the VMM exactly when it emulates a trapped
+    /// instruction.
+    pub fn commit_reg_updates(&mut self, d: &Decoded) {
         for (r, v) in &d.reg_updates {
-            self.set_reg(*r as usize, *v);
-        }
-    }
-
-    /// Applies a VM-emulation packet's side effects on behalf of the VMM
-    /// (the VMM calls this exactly when it emulates the instruction).
-    pub fn apply_side_effects(&mut self, effects: &[(u8, u32)]) {
-        for (r, v) in effects {
             self.set_reg(*r as usize, *v);
         }
     }
@@ -778,6 +787,28 @@ mod tests {
         let mut d = Decoded::empty();
         m.decode_instruction(&mut d)?;
         Ok(d)
+    }
+
+    #[test]
+    fn operand_value_accessor() {
+        let mut d = Decoded::empty();
+        d.operands.push(DecOp::Value(7));
+        d.operands.push(DecOp::Loc {
+            loc: OperandLoc::Reg(3),
+            old: None,
+        });
+        d.operands.push(DecOp::Addr(VirtAddr::new(0x44)));
+        d.operands.push(DecOp::Loc {
+            loc: OperandLoc::Reg(3),
+            old: Some(9),
+        });
+        d.operands.push(DecOp::Branch(0x200));
+        assert_eq!(d.operand(0), Some(7));
+        assert_eq!(d.operand(1), None, "a plain write destination");
+        assert_eq!(d.operand(2), Some(0x44));
+        assert_eq!(d.operand(3), Some(9));
+        assert_eq!(d.operand(4), Some(0x200));
+        assert_eq!(d.operand(5), None, "past the last operand");
     }
 
     #[test]

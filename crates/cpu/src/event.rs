@@ -1,6 +1,6 @@
-//! Step events and the VM-emulation trap packet.
+//! Step events and operand locations.
 
-use vax_arch::{Exception, Opcode, Psl, VirtAddr};
+use vax_arch::{Exception, VirtAddr};
 
 /// Where a decoded operand lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -11,68 +11,15 @@ pub enum OperandLoc {
     Mem(VirtAddr),
 }
 
-/// One decoded operand as supplied to the VMM in a VM-emulation trap.
-///
-/// Per paper §4.2, the microcode parses all instruction operands before
-/// invoking the VMM, so "the VMM need not engage in any probing of the
-/// instruction stream or parsing of instruction operands".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OperandValue {
-    /// A read operand: the fetched value.
-    Value(u32),
-    /// A write or modify operand: where the result goes (and for modify,
-    /// the current value).
-    Location {
-        /// The destination.
-        loc: OperandLoc,
-        /// Current value for modify-access operands.
-        value: Option<u32>,
-    },
-    /// An address operand: the computed effective address.
-    Address(VirtAddr),
-}
-
-impl OperandValue {
-    /// The operand's value, if it carries one.
-    pub fn value(&self) -> Option<u32> {
-        match self {
-            OperandValue::Value(v) => Some(*v),
-            OperandValue::Location { value, .. } => *value,
-            OperandValue::Address(a) => Some(a.raw()),
-        }
-    }
-}
-
-/// The decoded-instruction packet delivered with a VM-emulation trap.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VmTrapInfo {
-    /// The sensitive instruction.
-    pub opcode: Opcode,
-    /// Address of the instruction (PC has *not* been advanced).
-    pub pc: u32,
-    /// Address of the next instruction (for the VMM to resume at after
-    /// emulation).
-    pub next_pc: u32,
-    /// The VM's full PSL at trap time (merged from the real PSL and
-    /// VMPSL — "note: not just VMPSL", paper §4.2).
-    pub vm_psl: Psl,
-    /// Decoded operands in instruction order.
-    pub operands: Vec<OperandValue>,
-    /// Register side effects of operand decode (autoincrement /
-    /// autodecrement), to be applied by the VMM iff it emulates the
-    /// instruction: `(register, new value)`.
-    pub reg_side_effects: Vec<(u8, u32)>,
-}
-
 /// Why execution left VM mode and entered the VMM.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VmExit {
-    /// A sensitive instruction trapped for emulation, with its decoded
-    /// packet (the paper's VM-emulation trap). Boxed so the common
-    /// [`StepEvent::Ok`] stays pointer-sized: `step` returns an event
-    /// per instruction, and an inline packet would put ~70 bytes of
-    /// dead weight on that hot path.
-    Emulation(Box<VmTrapInfo>),
+    /// A sensitive instruction trapped for emulation (the paper's
+    /// VM-emulation trap). Its packet, every operand parsed, is the
+    /// machine's own decode, read through
+    /// [`Machine::trapped_instruction`](crate::Machine::trapped_instruction)
+    /// until the next step.
+    Emulation,
     /// An exception that the VMM must handle (shadow fill, modify fault)
     /// or reflect into the VM.
     Exception(Exception),
@@ -121,23 +68,6 @@ impl core::fmt::Display for HaltReason {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn operand_value_accessor() {
-        assert_eq!(OperandValue::Value(7).value(), Some(7));
-        assert_eq!(
-            OperandValue::Location {
-                loc: OperandLoc::Reg(3),
-                value: None
-            }
-            .value(),
-            None
-        );
-        assert_eq!(
-            OperandValue::Address(VirtAddr::new(0x44)).value(),
-            Some(0x44)
-        );
-    }
 
     #[test]
     fn halt_reason_display() {

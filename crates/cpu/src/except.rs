@@ -30,12 +30,12 @@ impl Machine {
                         self.halted = true;
                         StepEvent::Halted(crate::event::HaltReason::HaltInstruction)
                     }
-                    Ok(crate::exec::ExecOutcome::VmTrap(info)) => {
+                    Ok(crate::exec::ExecOutcome::VmTrap) => {
                         self.counters.vm_emulation_traps += 1;
                         self.exit_stamp = self.cycles;
                         self.cycles += self.costs.vm_emulation_trap;
                         self.psl.set_vm(false);
-                        StepEvent::VmExit(VmExit::Emulation(info))
+                        StepEvent::VmExit(VmExit::Emulation)
                     }
                     Err(abort) => self.handle_abort(abort, pc_start, next_pc),
                 }

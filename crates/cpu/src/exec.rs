@@ -4,7 +4,6 @@
 //! shadow PTE).
 
 use crate::decode::{mask_width, Abort, DecOp, Decoded};
-use crate::event::VmTrapInfo;
 use crate::machine::Machine;
 use vax_arch::{
     AccessMode, ArithmeticCode, DataType, Exception, Ipr, MachineVariant, Opcode, Psl, VirtAddr,
@@ -18,8 +17,8 @@ pub(crate) enum ExecOutcome {
     /// HALT in kernel mode.
     Halt,
     /// A VM-emulation trap for the VMM (PSL<VM> still set; the step loop
-    /// clears it).
-    VmTrap(Box<VmTrapInfo>),
+    /// clears it). The decode is the packet.
+    VmTrap,
 }
 
 /// Saved register values for rollback if a commit-phase write faults.
@@ -44,17 +43,6 @@ impl Machine {
         for (r, v) in saved.0.iter().rev() {
             self.set_reg(*r as usize, *v);
         }
-    }
-
-    fn make_vm_trap(&self, d: &Decoded) -> Box<VmTrapInfo> {
-        Box::new(VmTrapInfo {
-            opcode: d.op,
-            pc: d.pc_start,
-            next_pc: d.next_pc,
-            vm_psl: self.vmpsl.merge_into(self.psl),
-            operands: d.operands.iter().map(|o| o.to_operand_value()).collect(),
-            reg_side_effects: d.reg_updates.to_vec(),
-        })
     }
 
     pub(crate) fn set_nzvc(&mut self, n: bool, z: bool, v: bool, c: bool) {
@@ -87,18 +75,18 @@ impl Machine {
                 // Unprivileged sensitive: always trap for emulation.
                 Chmk | Chme | Chms | Chmu => {
                     self.counters.chm += 1;
-                    return Ok(ExecOutcome::VmTrap(self.make_vm_trap(d)));
+                    return Ok(ExecOutcome::VmTrap);
                 }
                 Rei => {
                     self.counters.rei += 1;
-                    return Ok(ExecOutcome::VmTrap(self.make_vm_trap(d)));
+                    return Ok(ExecOutcome::VmTrap);
                 }
                 // Privileged sensitive: trap for emulation only from
                 // VM-kernel mode; otherwise an ordinary privileged-
                 // instruction trap (which, in VM mode, the VMM reflects).
                 Halt | Ldpctx | Svpctx | Mtpr | Mfpr | Wait | Probevmr | Probevmw => {
                     if self.vmpsl.cur_mode() == AccessMode::Kernel {
-                        return Ok(ExecOutcome::VmTrap(self.make_vm_trap(d)));
+                        return Ok(ExecOutcome::VmTrap);
                     }
                     return Err(Exception::ReservedInstruction.into());
                 }
@@ -736,14 +724,14 @@ impl Machine {
             if in_vm && !outcome.pte_valid {
                 // Shadow PTE not valid: its protection field is not
                 // meaningful — trap to the VMM for a fill (paper §4.3.2).
-                return Ok(ExecOutcome::VmTrap(self.make_vm_trap(d)));
+                return Ok(ExecOutcome::VmTrap);
             }
             if in_vm && write && !outcome.accessible {
                 // A denied write probe may be an artifact of a
                 // write-protected shadow (the §4.4.2 read-only-shadow
                 // alternative makes "PROBEW trap more frequently"); let
                 // the VMM check the VM's own PTE.
-                return Ok(ExecOutcome::VmTrap(self.make_vm_trap(d)));
+                return Ok(ExecOutcome::VmTrap);
             }
             accessible &= outcome.accessible;
         }

@@ -40,11 +40,6 @@ impl<T: Copy + Default, const N: usize> FixedVec<T, N> {
         self.len = 0;
     }
 
-    /// Copies the contents into a heap `Vec`.
-    pub fn to_vec(&self) -> Vec<T> {
-        self.as_slice().to_vec()
-    }
-
     fn as_slice(&self) -> &[T] {
         &self.items[..self.len as usize]
     }

@@ -13,8 +13,9 @@
 //!
 //! * `PSL<VM>` and the `VMPSL` register;
 //! * the **VM-emulation trap**, surfacing as
-//!   [`StepEvent::VmExit`]`(`[`VmExit::Emulation`]`)` with a fully decoded
-//!   operand packet;
+//!   [`StepEvent::VmExit`]`(`[`VmExit::Emulation`]`)`; its packet is the
+//!   machine's own decode of the trapped instruction ([`Decoded`], every
+//!   operand parsed), read through [`Machine::trapped_instruction`];
 //! * the `MOVPSL` microcode merge and the `PROBE` valid-shadow fast path;
 //! * the **modify fault** instead of hardware `PTE<M>` setting;
 //! * `PROBEVMR`/`PROBEVMW`, and `WAIT` (meaningful only inside a VM).
@@ -61,9 +62,10 @@ pub mod uop;
 
 pub use bus::{Bus, IrqRequest, MmioDevice, IO_BASE_PA};
 pub use counters::CpuCounters;
-pub use event::{HaltReason, OperandLoc, OperandValue, StepEvent, VmExit, VmTrapInfo};
+pub use decode::{DecOp, Decoded};
+pub use event::{HaltReason, OperandLoc, StepEvent, VmExit};
 pub use fixedvec::FixedVec;
 pub use icache::DecodeCacheStats;
-pub use machine::{ExecTier, Machine, MachineState, TimerState, TIMER_IPL};
+pub use machine::{ExecTier, IntervalTimer, Machine, MachineState, TIMER_IPL};
 pub use sensitivity::{scan_sensitivity, ScanOutcome, SensitivityFinding};
 pub use trans::TransStats;

@@ -3,6 +3,7 @@
 
 use crate::bus::{Bus, IrqRequest, IO_BASE_PA};
 use crate::counters::CpuCounters;
+use crate::decode::Decoded;
 use crate::event::{HaltReason, StepEvent, VmExit};
 use crate::icache::{DecodeCache, DecodeCacheStats};
 use crate::trans::{TransCache, TransStats};
@@ -14,21 +15,31 @@ use vax_arch::{
 use vax_mem::{MemFault, Mmu, MmuState, PhysMemory};
 use vax_obs::{ExitCause, Histogram, Metrics, Obs, ObsSink, ProfTier};
 
-/// The interval timer (ICCS/NICR/ICR).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct IntervalTimer {
+/// An interval timer (ICCS/NICR/ICR): the machine's own, and each VM's
+/// virtual one, which the VMM advances only while that VM runs (paper
+/// §5, "Time"). The plain fields are also its snapshot image.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct IntervalTimer {
+    /// ICCS (RUN/IE/INT bits as on hardware).
     pub iccs: u32,
+    /// NICR (negative reload value).
     pub nicr: i64,
+    /// Current ICR count.
     pub icr: i64,
 }
 
 impl IntervalTimer {
+    /// RUN bit.
     pub const RUN: u32 = 1 << 0;
+    /// Transfer NICR to ICR.
     pub const XFR: u32 = 1 << 4;
+    /// Interrupt enable.
     pub const IE: u32 = 1 << 6;
+    /// Interrupt pending (write 1 to clear).
     pub const INT: u32 = 1 << 7;
 
-    fn write_iccs(&mut self, v: u32) {
+    /// A write to ICCS.
+    pub fn write_iccs(&mut self, v: u32) {
         if v & Self::XFR != 0 {
             self.icr = self.nicr;
         }
@@ -38,17 +49,23 @@ impl IntervalTimer {
         self.iccs = (self.iccs & Self::INT) | (v & (Self::RUN | Self::IE));
     }
 
-    fn tick(&mut self, delta: u64) {
-        if self.iccs & Self::RUN != 0 && self.nicr < 0 {
-            self.icr += delta as i64;
-            if self.icr >= 0 {
-                self.iccs |= Self::INT;
-                self.icr = self.nicr;
-            }
+    /// Counts `delta` cycles. Returns `true` when the count overflowed
+    /// with interrupts enabled: the timer fired and wants an interrupt.
+    pub fn tick(&mut self, delta: u64) -> bool {
+        if self.iccs & Self::RUN == 0 || self.nicr >= 0 {
+            return false;
         }
+        self.icr += delta as i64;
+        if self.icr >= 0 {
+            self.iccs |= Self::INT;
+            self.icr = self.nicr;
+            return self.iccs & Self::IE != 0;
+        }
+        false
     }
 
-    fn interrupt_pending(&self) -> bool {
+    /// INT and IE both set: the timer is requesting an interrupt.
+    pub(crate) fn interrupt_pending(&self) -> bool {
         self.iccs & Self::INT != 0 && self.iccs & Self::IE != 0
     }
 }
@@ -108,17 +125,6 @@ impl ExecTier {
     }
 }
 
-/// Plain-data image of the interval timer for snapshot/restore.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TimerState {
-    /// ICCS (RUN/IE/INT bits as on hardware).
-    pub iccs: u32,
-    /// NICR (negative reload value).
-    pub nicr: i64,
-    /// Current ICR count.
-    pub icr: i64,
-}
-
 /// Complete architectural + simulation state of a [`Machine`], minus
 /// physical memory and bus devices — the extraction/injection seam the
 /// snapshot subsystem builds on.
@@ -166,7 +172,7 @@ pub struct MachineState {
     /// Queued console input.
     pub console_rx: Vec<u8>,
     /// Interval timer.
-    pub timer: TimerState,
+    pub timer: IntervalTimer,
     /// Latched, undelivered device interrupt requests.
     pub pending_irqs: Vec<IrqRequest>,
     /// Cumulative simulated cycles.
@@ -227,10 +233,11 @@ pub struct Machine {
     pub(crate) console: Console,
     pub(crate) timer: IntervalTimer,
     pending_irqs: Vec<IrqRequest>,
-    /// Reusable decode output buffer: [`crate::decode::Decoded`] is a
-    /// couple hundred bytes, so it lives in one heap slot for the life of
-    /// the machine instead of being re-zeroed and moved every step.
-    pub(crate) decode_scratch: Option<Box<crate::decode::Decoded>>,
+    /// Reusable decode output buffer: [`Decoded`] is a couple hundred
+    /// bytes, so it lives in one heap slot, allocated at the first
+    /// decode, instead of being re-zeroed and moved every step. Between
+    /// steps it holds the last decode ([`Machine::trapped_instruction`]).
+    pub(crate) decode_scratch: Option<Box<Decoded>>,
     /// The observability sink: exit tracing, the guest profiler and the
     /// recent-PC window ([`ObsSink::Off`] by default — one discriminant
     /// test per retire). Like the decode caches, not part of
@@ -292,7 +299,7 @@ impl Machine {
             console: Console::default(),
             timer: IntervalTimer::default(),
             pending_irqs: Vec::new(),
-            decode_scratch: Some(Box::new(crate::decode::Decoded::empty())),
+            decode_scratch: None,
             obs: ObsSink::Off,
             cycles: 0,
             exit_stamp: 0,
@@ -328,6 +335,19 @@ impl Machine {
     /// includes the hardware half of the exit.
     pub fn last_exit_cycles(&self) -> u64 {
         self.exit_stamp
+    }
+
+    /// The instruction the step loop last decoded (a translated
+    /// superblock decodes none), valid until the next [`Machine::step`].
+    /// After a [`VmExit::Emulation`] this is the trapped
+    /// sensitive instruction with every operand parsed — the paper's
+    /// VM-emulation packet (§4.2); its register updates are not yet
+    /// committed ([`Machine::commit_reg_updates`]), and `PSL<VM>` aside,
+    /// only the cycle count has changed since the trap, so the VM's full
+    /// PSL is `vmpsl().merge_into(psl())`. `None` before the first
+    /// decode.
+    pub fn trapped_instruction(&self) -> Option<&Decoded> {
+        self.decode_scratch.as_deref()
     }
 
     /// Charges extra cycles (used by the VMM to account its software
@@ -1208,11 +1228,7 @@ impl Machine {
             mmu: self.mmu.export_state(),
             console_tx: self.console.tx_log.clone(),
             console_rx: self.console.rx_queue.iter().copied().collect(),
-            timer: TimerState {
-                iccs: self.timer.iccs,
-                nicr: self.timer.nicr,
-                icr: self.timer.icr,
-            },
+            timer: self.timer,
             pending_irqs: self.pending_irqs.clone(),
             cycles: self.cycles,
             exit_stamp: self.exit_stamp,
@@ -1242,11 +1258,7 @@ impl Machine {
         self.mmu.import_state(state.mmu);
         self.console.tx_log = state.console_tx;
         self.console.rx_queue = state.console_rx.into();
-        self.timer = IntervalTimer {
-            iccs: state.timer.iccs,
-            nicr: state.timer.nicr,
-            icr: state.timer.icr,
-        };
+        self.timer = state.timer;
         self.pending_irqs = state.pending_irqs;
         self.cycles = state.cycles;
         self.exit_stamp = state.exit_stamp;
@@ -1292,14 +1304,20 @@ mod tests {
         t.write_iccs(IntervalTimer::RUN | IntervalTimer::IE | IntervalTimer::XFR);
         assert_eq!(t.icr, -10);
         for _ in 0..9 {
-            t.tick(1);
+            assert!(!t.tick(1));
         }
         assert!(!t.interrupt_pending());
-        t.tick(1);
+        assert!(t.tick(1), "fires at the boundary");
         assert!(t.interrupt_pending());
         assert_eq!(t.icr, -10, "reloaded");
         // Write-1-to-clear.
         t.write_iccs(IntervalTimer::INT | IntervalTimer::RUN | IntervalTimer::IE);
+        assert!(!t.interrupt_pending());
+        // With IE clear the count still overflows and sets INT, but
+        // neither caller's interrupt rule fires.
+        t.write_iccs(IntervalTimer::RUN);
+        assert!(!t.tick(10));
+        assert_eq!(t.iccs & IntervalTimer::INT, IntervalTimer::INT);
         assert!(!t.interrupt_pending());
     }
 

@@ -208,7 +208,7 @@ fn scan_one(
     }
     let before = m.counters();
     let outcome = match m.step() {
-        StepEvent::VmExit(VmExit::Emulation(_)) => ScanOutcome::VmEmulationTrap,
+        StepEvent::VmExit(VmExit::Emulation) => ScanOutcome::VmEmulationTrap,
         StepEvent::VmExit(VmExit::Exception(e)) => {
             if e.vector() == ScbVector::ReservedInstruction {
                 ScanOutcome::PrivilegedTrap

@@ -445,14 +445,15 @@ fn vm_emulation_trap_carries_decoded_operands() {
     m.set_pc(0x8000_0400);
     m.enter_vm(VmPsl::new(AccessMode::Kernel, AccessMode::Kernel));
 
-    let StepEvent::VmExit(VmExit::Emulation(info)) = m.step() else {
+    let StepEvent::VmExit(VmExit::Emulation) = m.step() else {
         panic!("expected VM-emulation trap");
     };
-    assert_eq!(info.opcode, Opcode::Mtpr);
-    assert_eq!(info.pc, 0x8000_0400);
-    assert_eq!(info.operands[0].value(), Some(5));
-    assert_eq!(info.operands[1].value(), Some(Ipr::Ipl.number()));
-    assert_eq!(info.vm_psl.cur_mode(), AccessMode::Kernel);
+    let info = m.trapped_instruction().expect("the trap left its decode");
+    assert_eq!(info.op, Opcode::Mtpr);
+    assert_eq!(info.pc_start, 0x8000_0400);
+    assert_eq!(info.operand(0), Some(5));
+    assert_eq!(info.operand(1), Some(Ipr::Ipl.number()));
+    assert_eq!(m.vmpsl().merge_into(m.psl()).cur_mode(), AccessMode::Kernel);
     assert!(!m.in_vm(), "microcode cleared PSL<VM>");
     assert_eq!(
         m.pc(),

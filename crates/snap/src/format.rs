@@ -46,9 +46,9 @@ use crate::image::{MonitorImage, VmImage};
 use crate::wire::{fnv1a64, Reader, Writer, PAGE};
 use std::collections::VecDeque;
 use vax_arch::{AccessMode, CostModel, Protection, Psl, VmPsl};
-use vax_cpu::{CpuCounters, IrqRequest, MachineState, TimerState};
+use vax_cpu::{CpuCounters, IntervalTimer, IrqRequest, MachineState};
 use vax_mem::{MemCounters, MmuState, PhysMemory, TlbEntry, TlbState};
-use vax_vmm::vm::{VirtualIrq, VirtualTimer};
+use vax_vmm::vm::VirtualIrq;
 use vax_vmm::{
     intern_diagnostic, DirtyStrategy, IoStrategy, MonitorConfig, SchedulerState, ShadowCacheState,
     ShadowConfig, Vm, VmConfig, VmState, VmmCosts, VmmError,
@@ -784,6 +784,20 @@ fn read_mmu(r: &mut Reader<'_>) -> Result<MmuState, SnapshotError> {
     })
 }
 
+fn write_timer(w: &mut Writer, t: &IntervalTimer) {
+    w.u32(t.iccs);
+    w.i64(t.nicr);
+    w.i64(t.icr);
+}
+
+fn read_timer(r: &mut Reader<'_>) -> Result<IntervalTimer, SnapshotError> {
+    Ok(IntervalTimer {
+        iccs: r.u32()?,
+        nicr: r.i64()?,
+        icr: r.i64()?,
+    })
+}
+
 fn write_machine(w: &mut Writer, m: &MachineState) {
     for reg in m.regs {
         w.u32(reg);
@@ -803,9 +817,7 @@ fn write_machine(w: &mut Writer, m: &MachineState) {
     write_mmu(w, &m.mmu);
     w.blob(&m.console_tx);
     w.blob(&m.console_rx);
-    w.u32(m.timer.iccs);
-    w.i64(m.timer.nicr);
-    w.i64(m.timer.icr);
+    write_timer(w, &m.timer);
     w.u32(m.pending_irqs.len() as u32);
     for irq in &m.pending_irqs {
         w.u8(irq.ipl);
@@ -846,11 +858,7 @@ fn read_machine(r: &mut Reader<'_>, remaining: &mut u64) -> Result<MachineState,
     let console_rx = r.blob_capped(MAX_CONSOLE, "console input length")?;
     charge(remaining, console_rx.len() as u64)?;
     let console_rx = console_rx.to_vec();
-    let timer = TimerState {
-        iccs: r.u32()?,
-        nicr: r.i64()?,
-        icr: r.i64()?,
-    };
+    let timer = read_timer(r)?;
     let n_irqs = r.u32()?;
     if n_irqs > MAX_PENDING {
         return Err(SnapshotError::Invalid {
@@ -1110,9 +1118,7 @@ fn write_vm(w: &mut Writer, v: &Vm) {
     w.u32(v.guest_astlvl);
     w.u16(v.guest_sisr);
     w.u32(v.guest_todr);
-    w.u32(v.vtimer.iccs);
-    w.i64(v.vtimer.nicr);
-    w.i64(v.vtimer.icr);
+    write_timer(w, &v.vtimer);
     w.blob(&v.console_out);
     w.u32(v.vmm_log.len() as u32);
     for line in &v.vmm_log {
@@ -1219,11 +1225,7 @@ fn read_vm(
     let guest_astlvl = r.u32()?;
     let guest_sisr = r.u16()?;
     let guest_todr = r.u32()?;
-    let vtimer = VirtualTimer {
-        iccs: r.u32()?,
-        nicr: r.i64()?,
-        icr: r.i64()?,
-    };
+    let vtimer = read_timer(r)?;
     let console_out = r.blob_capped(MAX_CONSOLE, "console output length")?;
     charge(remaining, console_out.len() as u64)?;
     let console_out = console_out.to_vec();

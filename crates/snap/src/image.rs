@@ -7,12 +7,13 @@
 //! each VM's creation in order. Because the frame allocator is a
 //! deterministic bump allocator, this re-derives the exact physical
 //! frame layout (VM memory blocks, shadow page tables) of the
-//! snapshotted monitor; the serialized `mem_base_pfn` is checked against
-//! the re-derived one so a layout mismatch is an error, not a corrupted
-//! guest. The memory already holds the real SPT and shadow table
-//! *contents*, so re-creation writes none of them. The machine state —
-//! including the TLB, exactly — is then injected, and the per-VM state
-//! and shadow bookkeeping are overwritten in place.
+//! snapshotted monitor, and installs the captured VM state; the
+//! serialized `mem_base_pfn` is checked against the re-derived one so a
+//! layout mismatch is an error, not a corrupted guest. The memory
+//! already holds the real SPT and shadow table *contents*, so
+//! re-creation writes none of them. The shadow bookkeeping is then
+//! overwritten in place and the machine state — including the TLB,
+//! exactly — injected.
 //!
 //! Restore and copy-on-write fork share this one path and differ only in
 //! the [`PhysMemory`] they hand over: a restore passes the memory its
@@ -28,9 +29,9 @@ use vax_vmm::{IoStrategy, Monitor, MonitorConfig, SchedulerState, ShadowCacheSta
 /// Everything a snapshot carries for one VM.
 #[derive(Debug, Clone)]
 pub struct VmImage {
-    /// Creation parameters — replayed through [`Monitor::create_vm`].
+    /// Creation parameters — replayed through [`Monitor::recreate_vm`].
     pub config: VmConfig,
-    /// The VM's complete state, overwritten into the recreated slot.
+    /// The VM's complete state, installed by [`Monitor::recreate_vm`].
     pub vm: Vm,
     /// Shadow process-table cache bookkeeping.
     pub shadow: ShadowCacheState,
@@ -134,13 +135,11 @@ pub fn rebuild(image: MonitorImage, mem: PhysMemory) -> Result<Monitor, Snapshot
                 what: "VMs do not fit in machine memory",
             });
         }
-        let id = monitor.recreate_vm(&vm_image.vm.name, vm_image.config);
-        if monitor.vm(id).mem_base_pfn != vm_image.vm.mem_base_pfn {
+        let Some(id) = monitor.recreate_vm(vm_image.vm, vm_image.config) else {
             return Err(SnapshotError::Invalid {
                 what: "memory layout does not reproduce",
             });
-        }
-        *monitor.vm_mut(id) = vm_image.vm;
+        };
         monitor.shadow_mut(id).import_cache_state(vm_image.shadow);
     }
     // Importing the state resets the decode cache. The memory's views

@@ -90,6 +90,18 @@ fn fork_child_allocates_less_than_the_machine_memory() {
         bytes < mem_bytes,
         "fork_child allocated {bytes} bytes on a {mem_bytes}-byte machine"
     );
+    // Beyond its page table (one word per page) a fork holds one copy of
+    // each VM's captured state, virtual disk included: restore installs
+    // the captured VM rather than building a default one to overwrite.
+    let page_table = 4 * mem_bytes / 512;
+    let disks: u64 = child
+        .vm_ids()
+        .map(|id| child.vm(id).vdisk.len() as u64 * 512)
+        .sum();
+    assert!(
+        bytes < page_table + disks + 32 * 1024,
+        "fork_child allocated {bytes} bytes: page table {page_table}, disks {disks}"
+    );
     assert_eq!(
         child.machine().mem().resident_pages(),
         0,
