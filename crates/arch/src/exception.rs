@@ -1,13 +1,15 @@
-//! Exception descriptors.
+//! Exception descriptors and the frame they push.
 //!
 //! The VAX delivers exceptions (synchronous) and interrupts (asynchronous)
 //! through the SCB. Each [`Exception`] value names the event plus the
 //! parameters the microcode pushes on the target stack after the PC/PSL
-//! pair.
+//! pair, and decides which PC it saves and which stack it lands on; the
+//! bare machine's microcode and the VMM's reflection both build their
+//! [`Frame`] from it.
 
 use crate::scb::ScbVector;
 use crate::va::VirtAddr;
-use crate::AccessMode;
+use crate::{AccessMode, Psl};
 
 /// Arithmetic exception type codes (pushed as the single parameter of an
 /// arithmetic trap).
@@ -166,6 +168,40 @@ impl Exception {
         )
     }
 
+    /// The PC the frame saves, given the raising instruction's PC and the
+    /// next one's: a fault (and a machine check) saves its own
+    /// instruction, for REI to re-execute; a trap saves the next one.
+    pub fn saved_pc(self, instruction: u32, next: u32) -> u32 {
+        if self.is_fault() || matches!(self, Exception::MachineCheck { .. }) {
+            instruction
+        } else {
+            next
+        }
+    }
+
+    /// The (mode, on the interrupt stack) the exception is delivered on:
+    /// a change-mode goes to the more privileged of `cur` and its target,
+    /// off the interrupt stack; kernel-stack-not-valid to kernel on the
+    /// interrupt stack; anything else to kernel, keeping `on_is`.
+    pub fn target_stack(self, cur: AccessMode, on_is: bool) -> (AccessMode, bool) {
+        match self {
+            Exception::ChangeMode { target, .. } => (cur.most_privileged(target), false),
+            Exception::KernelStackNotValid => (AccessMode::Kernel, true),
+            _ => (AccessMode::Kernel, on_is),
+        }
+    }
+
+    /// The frame the exception pushes: the PSL when it was raised, the
+    /// [saved PC](Exception::saved_pc) and the parameters.
+    pub fn frame(self, psl: Psl, instruction: u32, next: u32) -> Frame {
+        let mut frame = Frame::new(psl, self.saved_pc(instruction, next));
+        for &p in self.parameters().as_slice().iter().rev() {
+            frame.words[frame.len] = p;
+            frame.len += 1;
+        }
+        frame
+    }
+
     /// True for memory-management faults.
     pub fn is_memory_management(self) -> bool {
         matches!(
@@ -234,6 +270,31 @@ impl ExceptionParams {
     /// The parameters as a slice (first element is deepest on the stack).
     pub fn as_slice(&self) -> &[u32] {
         &self.params[..self.len]
+    }
+}
+
+/// The longwords an exception or interrupt pushes on its target stack:
+/// a PSL, a PC and up to two parameters, the first left at (SP).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Frame {
+    words: [u32; 4],
+    len: usize,
+}
+
+impl Frame {
+    /// A frame of the interrupted PSL (without `PSL<VM>`, which software
+    /// never sees) and PC alone: an interrupt's frame.
+    pub fn new(psl: Psl, pc: u32) -> Frame {
+        Frame {
+            words: [psl.raw_visible(), pc, 0, 0],
+            len: 2,
+        }
+    }
+
+    /// The longwords in the order they are pushed: PSL, PC, then the
+    /// parameters from last to first.
+    pub fn push_order(&self) -> &[u32] {
+        &self.words[..self.len]
     }
 }
 
@@ -316,6 +377,52 @@ mod tests {
         }
         .is_memory_management());
         assert!(!Exception::Breakpoint.is_memory_management());
+    }
+
+    #[test]
+    fn frames_save_the_pc_by_kind_and_push_parameters_last_first() {
+        let mut psl = Psl::new();
+        psl.set_vm(true);
+        let av = Exception::AccessViolation {
+            va: VirtAddr::new(0x2345),
+            write: true,
+            length: false,
+            pte_ref: false,
+        };
+        assert_eq!(
+            av.frame(psl, 0x100, 0x104).push_order(),
+            &[0, 0x100, 0x2345, 0b100],
+            "a fault saves its own PC; PSL<VM> is not visible"
+        );
+        let divide = Exception::Arithmetic(ArithmeticCode::IntegerDivideByZero);
+        assert_eq!(divide.frame(psl, 0x100, 0x104).push_order(), &[0, 0x104, 2]);
+        let mck = Exception::MachineCheck { code: 7 };
+        assert_eq!(mck.saved_pc(0x100, 0x104), 0x100);
+        assert_eq!(Exception::KernelStackNotValid.saved_pc(0x100, 0x104), 0x104);
+        assert_eq!(Frame::new(psl, 0x200).push_order(), &[0, 0x200]);
+    }
+
+    #[test]
+    fn target_stacks() {
+        use AccessMode::*;
+        let chme = Exception::ChangeMode {
+            target: Executive,
+            code: 0,
+        };
+        assert_eq!(chme.target_stack(User, false), (Executive, false));
+        assert_eq!(chme.target_stack(Kernel, true), (Kernel, false));
+        assert_eq!(
+            Exception::KernelStackNotValid.target_stack(User, false),
+            (Kernel, true)
+        );
+        assert_eq!(
+            Exception::Breakpoint.target_stack(User, false),
+            (Kernel, false)
+        );
+        assert_eq!(
+            Exception::Breakpoint.target_stack(Kernel, true),
+            (Kernel, true)
+        );
     }
 
     #[test]

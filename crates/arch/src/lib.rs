@@ -4,12 +4,13 @@
 //! workspace, including the ISCA '91 virtualization extensions.
 //!
 //! This crate is pure data: access modes, the processor status longword
-//! (PSL) and its `VM` bit, the `VMPSL` register, page-table entries and the
-//! full four-bit VAX protection-code table, virtual-address decomposition,
-//! system control block (SCB) vectors, internal processor registers (IPRs),
-//! the opcode table with operand specifications, exception descriptors, and
-//! the calibrated cycle-cost model. It has no dependencies and is shared by
-//! every other crate in the workspace.
+//! (PSL) and its `VM` bit with REI's checks, the `VMPSL` register,
+//! page-table entries and the full four-bit VAX protection-code table,
+//! virtual-address decomposition, system control block (SCB) vectors,
+//! internal processor registers (IPRs), the opcode table with operand
+//! specifications, exception descriptors and their frames, the process
+//! control block, and the calibrated cycle-cost model. It has no
+//! dependencies and is shared by every other crate in the workspace.
 //!
 //! # Example
 //!
@@ -30,16 +31,18 @@ pub mod exception;
 pub mod ipr;
 pub mod mode;
 pub mod opcode;
+pub mod pcb;
 pub mod psl;
 pub mod pte;
 pub mod scb;
 pub mod va;
 
 pub use cost::CostModel;
-pub use exception::{ArithmeticCode, Exception};
+pub use exception::{ArithmeticCode, Exception, Frame};
 pub use ipr::Ipr;
 pub use mode::AccessMode;
 pub use opcode::{AccessType, DataType, Opcode, OperandSpec};
+pub use pcb::Pcb;
 pub use psl::{Psl, VmPsl};
 pub use pte::{Protection, Pte};
 pub use scb::ScbVector;

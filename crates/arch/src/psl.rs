@@ -206,6 +206,36 @@ impl Psl {
         self.set_flag(Self::Z, value == 0);
         self.set_flag(Self::V, false);
     }
+
+    /// REI's checks on the PSL image it pops, made from mode `cur`, on
+    /// the interrupt stack or not. REI takes a reserved-operand fault
+    /// unless all hold: no MBZ bit is set; the image's mode is no more
+    /// privileged than `cur`; its previous mode is no more privileged
+    /// than its mode; its IPL is 0 outside kernel mode; it names the
+    /// interrupt stack only when REI runs on it, and then only in
+    /// kernel mode. (The VAX SRM also rejects an interrupt-stack image
+    /// at IPL 0 and an IPL above the current one; this model does not.)
+    pub fn rei_image_valid(self, cur: AccessMode, on_is: bool) -> bool {
+        let mode = self.cur_mode();
+        let to_is = self.flag(Self::IS);
+        self.0 & Self::MBZ == 0
+            && !mode.is_more_privileged_than(cur)
+            && !self.prv_mode().is_more_privileged_than(mode)
+            && (self.ipl() == 0 || mode == AccessMode::Kernel)
+            && (!to_is || on_is)
+            && (!to_is || mode == AccessMode::Kernel)
+    }
+
+    /// The SISR bits REI sets for this image: the AST-delivery software
+    /// interrupt (level 2) when the image's mode is no more privileged
+    /// than `astlvl` (0–3), none otherwise.
+    pub fn rei_ast_request(self, astlvl: u32) -> u16 {
+        if self.cur_mode().bits() >= astlvl && astlvl <= 3 {
+            1 << 2
+        } else {
+            0
+        }
+    }
 }
 
 impl core::fmt::Display for Psl {
@@ -337,6 +367,56 @@ impl core::fmt::Display for VmPsl {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn image(cur: AccessMode, prv: AccessMode, ipl: u8, is: bool) -> Psl {
+        let mut psl = Psl::new();
+        psl.set_cur_mode(cur);
+        psl.set_prv_mode(prv);
+        psl.set_ipl(ipl);
+        psl.set_flag(Psl::IS, is);
+        psl
+    }
+
+    #[test]
+    fn rei_image_checks() {
+        use AccessMode::*;
+        let ok = |img: Psl, cur, on_is| img.rei_image_valid(cur, on_is);
+        assert!(ok(image(User, User, 0, false), Kernel, true));
+        assert!(ok(image(Kernel, Kernel, 31, true), Kernel, true));
+        assert!(!ok(Psl::from_raw(1 << 8), Kernel, false), "MBZ bit");
+        assert!(!ok(Psl::from_raw(Psl::VM), Kernel, false), "PSL<VM> is MBZ");
+        assert!(
+            !ok(image(Kernel, Kernel, 0, false), User, false),
+            "privilege"
+        );
+        assert!(
+            !ok(image(User, Kernel, 0, false), Kernel, false),
+            "prv above cur"
+        );
+        assert!(
+            !ok(image(User, User, 1, false), Kernel, false),
+            "IPL outside kernel"
+        );
+        assert!(
+            !ok(image(Kernel, Kernel, 1, true), Kernel, false),
+            "IS from off IS"
+        );
+        assert!(
+            !ok(image(User, User, 0, true), Kernel, true),
+            "IS outside kernel"
+        );
+    }
+
+    #[test]
+    fn rei_ast_request_by_astlvl() {
+        use AccessMode::*;
+        let user = image(User, User, 0, false);
+        assert_eq!(user.rei_ast_request(3), 1 << 2);
+        assert_eq!(user.rei_ast_request(4), 0, "ASTLVL 4: no AST pending");
+        let supervisor = image(Supervisor, Supervisor, 0, false);
+        assert_eq!(supervisor.rei_ast_request(2), 1 << 2);
+        assert_eq!(image(Executive, Executive, 0, false).rei_ast_request(2), 0);
+    }
 
     #[test]
     fn mode_fields_round_trip() {

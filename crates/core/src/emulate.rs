@@ -10,7 +10,8 @@ use crate::fault::{Containment, VmmError};
 use crate::monitor::{compress_mode, Monitor};
 use crate::shadow::FillOutcome;
 use crate::vm::{DirtyStrategy, IoStrategy, VirtualIrq, VmState};
-use vax_arch::{AccessMode, Exception, Ipr, Opcode, Psl, VirtAddr};
+use core::convert::Infallible;
+use vax_arch::{AccessMode, Exception, Frame, Ipr, Opcode, Pcb, Psl, VirtAddr};
 use vax_cpu::{DecOp, Decoded, OperandLoc, VmExit};
 use vax_mem::MemFault;
 
@@ -356,128 +357,93 @@ impl Monitor {
     }
 
     /// Reflects an exception into the guest through its SCB (paper §4.2:
-    /// "forward the exception to the VM").
+    /// "forward the exception to the VM"). The VM's PC is where the
+    /// exception's frame saves it (the machine put it there on the exit).
     pub(crate) fn reflect(&mut self, idx: usize, e: Exception) -> bool {
         self.charge(self.config.costs.reflect);
         self.vms[idx].vm.stats.reflected += 1;
-        self.save_live_sp(idx);
-
-        let (old_cur, is) = {
-            let vm = &self.vms[idx].vm;
-            (vm.vmpsl.cur_mode(), vm.v_is)
-        };
-        // CHM-style exceptions never come through here; everything else
-        // targets virtual kernel mode, staying on the virtual interrupt
-        // stack if already there.
-        let target = AccessMode::Kernel;
-        let merged = self.vms[idx].vm.vmpsl.merge_into(self.machine.psl());
+        let vm = &self.vms[idx].vm;
+        let stack = e.target_stack(vm.vmpsl.cur_mode(), vm.v_is);
         let pc = self.machine.pc();
-
-        let mut sp = self.vms[idx].vm.stack_slot(target, is);
-        let params = e.parameters();
-        let frame = [merged.raw_visible(), pc];
-        let real_mode = compress_mode(target);
-        for v in frame
-            .into_iter()
-            .chain(params.as_slice().iter().rev().copied())
-        {
-            sp = sp.wrapping_sub(4);
-            if self
-                .vm_write(idx, VirtAddr::new(sp), v, 4, real_mode)
-                .is_err()
-            {
-                // Reflecting the push failure would recurse into the same
-                // broken stack: the guest can no longer hear about its own
-                // faults, so contain by halting.
-                return self.security_halt(
-                    idx,
-                    VmmError::Undeliverable {
-                        what: "exception frame push failed",
-                    },
-                );
-            }
-        }
-        self.vms[idx].vm.set_stack_slot(target, is, sp);
-
-        let handler = self.vms[idx]
-            .vm
-            .guest_scbb
-            .checked_add(e.vector().offset())
-            .and_then(|vector_gpa| self.read_gp(idx, vector_gpa));
-        let Some(handler) = handler else {
-            return self.security_halt(
+        let frame = e.frame(vm.vmpsl.merge_into(self.machine.psl()), pc, pc);
+        let empty = "guest exception vector empty";
+        match self.enter_guest(idx, &frame, stack, e.vector().offset(), empty, None) {
+            Ok(entered) => entered,
+            // Reflecting the push failure would recurse into the same
+            // broken stack: the guest can no longer hear about its own
+            // faults, so contain by halting.
+            Err(_) => self.security_halt(
                 idx,
                 VmmError::Undeliverable {
-                    what: "guest SCB unreadable",
+                    what: "exception frame push failed",
                 },
-            );
-        };
-        if handler & !3 == 0 {
-            return self.security_halt(
-                idx,
-                VmmError::Undeliverable {
-                    what: "guest exception vector empty",
-                },
-            );
+            ),
         }
-        self.set_vm_mode(idx, target, old_cur, is, true);
-        self.machine.set_pc(handler & !3);
-        true
     }
 
     /// Delivers a pending virtual interrupt (guest SCB, virtual interrupt
     /// stack, virtual IPL raised to the source's level).
     pub(crate) fn deliver_virq(&mut self, idx: usize, irq: VirtualIrq) {
         self.charge(self.config.costs.virq_delivery);
-        self.save_live_sp(idx);
-        let old_cur = self.vms[idx].vm.vmpsl.cur_mode();
         let merged = self.vms[idx].vm.vmpsl.merge_into(self.machine.psl());
-        let pc = self.machine.pc();
-
-        let mut sp = self.vms[idx].vm.vsp_is;
-        for v in [merged.raw_visible(), pc] {
-            sp = sp.wrapping_sub(4);
-            if let Err(out) = self.vm_write(idx, VirtAddr::new(sp), v, 4, AccessMode::Executive) {
-                // The interrupt stays pending; the guest handles its own
-                // fault first (or the VM halts on a security violation).
+        let frame = Frame::new(merged, self.machine.pc());
+        let (vector, empty) = (irq.vector as u32, "guest interrupt vector empty");
+        match self.enter_guest(idx, &frame, (AccessMode::Kernel, true), vector, empty, None) {
+            Ok(true) => {
+                let vm = &mut self.vms[idx].vm;
+                vm.clear_virq(irq);
+                vm.stats.virqs += 1;
+                vm.vmpsl.set_ipl(irq.ipl);
+                self.machine.enter_vm(self.vms[idx].vm.vmpsl);
+            }
+            Ok(false) => {}
+            // The interrupt stays pending; the guest handles its own
+            // fault first (or the VM halts on a security violation).
+            Err(out) => {
                 self.guest_access_failed(idx, out, "interrupt frame push failed");
-                return;
             }
         }
-        self.vms[idx].vm.vsp_is = sp;
+    }
 
-        let handler = self.vms[idx]
-            .vm
-            .guest_scbb
-            .checked_add(irq.vector as u32)
-            .and_then(|vector_gpa| self.read_gp(idx, vector_gpa));
-        let Some(handler) = handler else {
-            self.security_halt(
-                idx,
-                VmmError::Undeliverable {
-                    what: "guest SCB unreadable",
-                },
-            );
-            return;
+    /// Pushes `frame` on the guest's virtual stack for `(mode, is)` and
+    /// enters the handler at guest SCB offset `vector` in that mode, with
+    /// the VM's mode as the previous one and the condition codes clear;
+    /// `trapped`, the instruction that caused it, commits its register
+    /// side effects just before. `Ok(false)`: the VM halted, its SCB
+    /// unreadable or the vector `empty`. `Err`: a push faulted.
+    fn enter_guest(
+        &mut self,
+        idx: usize,
+        frame: &Frame,
+        (mode, is): (AccessMode, bool),
+        vector: u32,
+        empty: &'static str,
+        trapped: Option<&Decoded>,
+    ) -> Result<bool, FillOutcome> {
+        self.save_live_sp(idx);
+        let mut sp = self.vms[idx].vm.stack_slot(mode, is);
+        let real_mode = compress_mode(mode);
+        for &v in frame.push_order() {
+            sp = sp.wrapping_sub(4);
+            self.vm_write(idx, VirtAddr::new(sp), v, 4, real_mode)?;
+        }
+        self.vms[idx].vm.set_stack_slot(mode, is, sp);
+
+        let scbb = self.vms[idx].vm.guest_scbb;
+        let what = match self.read_gp_at(idx, scbb, vector) {
+            None => "guest SCB unreadable",
+            Some(h) if h & !3 == 0 => empty,
+            Some(h) => {
+                if let Some(d) = trapped {
+                    self.machine.commit_reg_updates(d);
+                }
+                let old_cur = self.vms[idx].vm.vmpsl.cur_mode();
+                self.set_vm_mode(idx, mode, old_cur, is, true);
+                self.machine.set_pc(h & !3);
+                return Ok(true);
+            }
         };
-        if handler & !3 == 0 {
-            self.security_halt(
-                idx,
-                VmmError::Undeliverable {
-                    what: "guest interrupt vector empty",
-                },
-            );
-            return;
-        }
-        {
-            let vm = &mut self.vms[idx].vm;
-            vm.clear_virq(irq);
-            vm.stats.virqs += 1;
-            vm.vmpsl.set_ipl(irq.ipl);
-        }
-        self.set_vm_mode(idx, AccessMode::Kernel, old_cur, true, true);
-        self.machine.set_pc(handler & !3);
-        self.machine.enter_vm(self.vms[idx].vm.vmpsl);
+        Ok(self.security_halt(idx, VmmError::Undeliverable { what }))
     }
 
     // ---- instruction emulations ----
@@ -521,90 +487,46 @@ impl Monitor {
         self.charge(self.config.costs.chm);
         self.vms[idx].vm.stats.chm += 1;
         let code = d.operand(0).unwrap_or(0) as u16 as i16 as i32 as u32;
-        let Some(instr_target) = d.op.chm_target() else {
+        let Some(target) = d.op.chm_target() else {
             // Only CHMx opcodes dispatch here; a non-CHM decode is a
             // decoder inconsistency, handled as a reserved instruction
             // rather than a panic.
             return self.reflect(idx, Exception::ReservedInstruction);
         };
-        let old_cur = self.vms[idx].vm.vmpsl.cur_mode();
-        // Change-mode maximizes privilege: a CHM to a less privileged
-        // mode stays in the current mode.
-        let new_mode = old_cur.most_privileged(instr_target);
+        let e = Exception::ChangeMode { target, code };
+        let vm = &self.vms[idx].vm;
+        let stack = e.target_stack(vm.vmpsl.cur_mode(), vm.v_is);
         // The VM's full PSL at the trap ("not just VMPSL", paper §4.2).
         let merged = self.machine.vmpsl().merge_into(self.machine.psl());
-
-        self.save_live_sp(idx);
-        // Frame on the *target* mode's stack: (SP)=code, PC, PSL.
-        let mut sp = self.vms[idx].vm.stack_slot(new_mode, false);
-        let real_mode = compress_mode(new_mode);
-        for v in [merged.raw_visible(), d.next_pc, code] {
-            sp = sp.wrapping_sub(4);
-            if let Err(out) = self.vm_write(idx, VirtAddr::new(sp), v, 4, real_mode) {
-                // PC still points at the CHM: reflecting the fault lets
-                // the guest validate its stack and re-execute the CHM.
-                return self.guest_access_failed(idx, out, "CHM stack push failed");
-            }
+        let frame = e.frame(merged, self.machine.pc(), d.next_pc);
+        let empty = "guest CHM vector empty";
+        match self.enter_guest(idx, &frame, stack, e.vector().offset(), empty, Some(d)) {
+            Ok(entered) => entered,
+            // PC still points at the CHM: reflecting the fault lets the
+            // guest validate its stack and re-execute the CHM.
+            Err(out) => self.guest_access_failed(idx, out, "CHM stack push failed"),
         }
-        self.vms[idx].vm.set_stack_slot(new_mode, false, sp);
-
-        // Vector selected by the *instruction's* target mode.
-        let handler = self.vms[idx]
-            .vm
-            .guest_scbb
-            .checked_add(0x40 + 4 * instr_target.bits())
-            .and_then(|vector_gpa| self.read_gp(idx, vector_gpa));
-        let Some(handler) = handler else {
-            return self.security_halt(
-                idx,
-                VmmError::Undeliverable {
-                    what: "guest SCB unreadable",
-                },
-            );
-        };
-        if handler & !3 == 0 {
-            return self.security_halt(
-                idx,
-                VmmError::Undeliverable {
-                    what: "guest CHM vector empty",
-                },
-            );
-        }
-        self.machine.commit_reg_updates(d);
-        self.set_vm_mode(idx, new_mode, old_cur, false, true);
-        self.machine.set_pc(handler & !3);
-        true
     }
 
     fn emulate_rei(&mut self, idx: usize, d: &Decoded) -> bool {
         self.charge(self.config.costs.rei);
         self.vms[idx].vm.stats.rei += 1;
-        let (cur, is) = {
-            let vm = &self.vms[idx].vm;
-            (vm.vmpsl.cur_mode(), vm.v_is)
-        };
+        let vm = &self.vms[idx].vm;
+        let (cur, is) = (vm.vmpsl.cur_mode(), vm.v_is);
         let real_mode = compress_mode(cur);
         let sp = self.machine.reg(14);
         let new_pc = match self.vm_read(idx, VirtAddr::new(sp), 4, real_mode) {
             Ok(v) => v,
             Err(out) => return self.guest_access_failed(idx, out, "REI stack read"),
         };
-        let img_raw = match self.vm_read(idx, VirtAddr::new(sp.wrapping_add(4)), 4, real_mode) {
-            Ok(v) => v,
+        let img = match self.vm_read(idx, VirtAddr::new(sp.wrapping_add(4)), 4, real_mode) {
+            Ok(v) => Psl::from_raw(v),
             Err(out) => return self.guest_access_failed(idx, out, "REI stack read"),
         };
-        let img = Psl::from_raw(img_raw);
 
-        // The same validity checks the microcode applies, but against
-        // *virtual* modes — this is where the guest is prevented from
-        // increasing its own privilege.
-        let valid = img_raw & Psl::MBZ == 0
-            && !img.cur_mode().is_more_privileged_than(cur)
-            && !img.prv_mode().is_more_privileged_than(img.cur_mode())
-            && (img.ipl() == 0 || img.cur_mode() == AccessMode::Kernel)
-            && (!img.flag(Psl::IS) || is)
-            && !(img.flag(Psl::IS) && img.cur_mode() != AccessMode::Kernel);
-        if !valid {
+        // The microcode's checks, but against *virtual* modes — this is
+        // where the guest is prevented from increasing its own privilege.
+        if !img.rei_image_valid(cur, is) {
             return self.reflect(idx, Exception::ReservedOperand);
         }
 
@@ -615,9 +537,7 @@ impl Monitor {
             let vm = &mut self.vms[idx].vm;
             vm.vmpsl.set_ipl(img.ipl());
             // AST delivery check against the *virtual* ASTLVL.
-            if img.cur_mode().bits() >= vm.guest_astlvl && vm.guest_astlvl <= 3 {
-                vm.guest_sisr |= 1 << 2;
-            }
+            vm.guest_sisr |= img.rei_ast_request(vm.guest_astlvl);
         }
         self.machine.commit_reg_updates(d);
         self.set_vm_mode(
@@ -841,8 +761,9 @@ impl Monitor {
         self.charge(self.config.costs.context_switch);
         self.vms[idx].vm.stats.guest_context_switches += 1;
         let pcbb = self.vms[idx].vm.guest_pcbb;
-        let rd = |m: &Monitor, off: u32| m.read_gp_at(idx, pcbb, off);
-        let Some(ksp) = rd(self, 0) else {
+        // Every word must lie inside guest memory: a PCB running off its
+        // end would hand the guest a context it never wrote.
+        let Ok(pcb) = Pcb::load(|off| self.read_gp_at(idx, pcbb, off).ok_or(())) else {
             return self.security_halt(
                 idx,
                 VmmError::GuestState {
@@ -850,41 +771,22 @@ impl Monitor {
                 },
             );
         };
-        let esp = rd(self, 4).unwrap_or(0);
-        let ssp = rd(self, 8).unwrap_or(0);
-        let usp = rd(self, 12).unwrap_or(0);
-        let mut gp_regs = [0u32; 14];
-        for (i, r) in gp_regs.iter_mut().enumerate() {
-            *r = rd(self, 16 + 4 * i as u32).unwrap_or(0);
-        }
-        let pc_img = rd(self, 72).unwrap_or(0);
-        let psl_img = rd(self, 76).unwrap_or(0);
-        let p0br = rd(self, 80).unwrap_or(0);
-        let p0lr = rd(self, 84).unwrap_or(0);
-        let p1br = rd(self, 88).unwrap_or(0);
-        let p1lr = rd(self, 92).unwrap_or(0);
+        let [ksp, outer_sps @ ..] = pcb.sp;
 
-        {
-            let vm = &mut self.vms[idx].vm;
-            vm.vsp[1] = esp;
-            vm.vsp[2] = ssp;
-            vm.vsp[3] = usp;
-            if vm.v_is {
-                vm.vsp[0] = ksp;
-            }
-            vm.guest_p0br = p0br;
-            let p0cap = self.vms[idx].shadow.config().p0_capacity;
-            let vm = &mut self.vms[idx].vm;
-            vm.guest_p0lr = p0lr.min(p0cap);
-            vm.guest_p1br = p1br;
-            let floor = (1u32 << 21) - self.vms[idx].shadow.config().p1_capacity;
-            let vm = &mut self.vms[idx].vm;
-            vm.guest_p1lr = p1lr.max(floor);
+        let cfg = self.vms[idx].shadow.config();
+        let vm = &mut self.vms[idx].vm;
+        vm.vsp[1..].copy_from_slice(&outer_sps);
+        if vm.v_is {
+            vm.vsp[0] = ksp;
         }
-        for (i, r) in gp_regs.iter().enumerate() {
+        vm.guest_p0br = pcb.p0br;
+        vm.guest_p0lr = pcb.p0lr.min(cfg.p0_capacity);
+        vm.guest_p1br = pcb.p1br;
+        vm.guest_p1lr = pcb.p1lr.max((1u32 << 21) - cfg.p1_capacity);
+        for (i, r) in pcb.regs.iter().enumerate() {
             self.machine.set_reg(i, *r);
         }
-        if !self.vms[idx].vm.v_is {
+        if !vm.v_is {
             self.machine.set_reg(14, ksp);
         }
 
@@ -895,7 +797,6 @@ impl Monitor {
         } else {
             self.vms[idx].vm.stats.shadow_cache_misses += 1;
             // Clearing a slot costs time proportional to its size.
-            let cfg = self.vms[idx].shadow.config();
             self.charge(((cfg.p0_capacity + cfg.p1_capacity) / 16) as u64);
         }
         self.refresh_mmu(idx);
@@ -903,7 +804,7 @@ impl Monitor {
         // Push the PCB's PSL and PC for the completing REI.
         let real_mode = compress_mode(self.vms[idx].vm.vmpsl.cur_mode());
         let mut sp = self.machine.reg(14);
-        for v in [psl_img, pc_img] {
+        for v in [pcb.psl, pcb.pc] {
             sp = sp.wrapping_sub(4);
             if let Err(out) = self.vm_write(idx, VirtAddr::new(sp), v, 4, real_mode) {
                 return self.guest_access_failed(idx, out, "LDPCTX stack push failed");
@@ -920,36 +821,34 @@ impl Monitor {
         let pcbb = self.vms[idx].vm.guest_pcbb;
         let real_mode = compress_mode(self.vms[idx].vm.vmpsl.cur_mode());
         let sp = self.machine.reg(14);
-        let pc_img = match self.vm_read(idx, VirtAddr::new(sp), 4, real_mode) {
+        let pc = match self.vm_read(idx, VirtAddr::new(sp), 4, real_mode) {
             Ok(v) => v,
             Err(out) => return self.guest_access_failed(idx, out, "SVPCTX stack pop failed"),
         };
-        let psl_img = match self.vm_read(idx, VirtAddr::new(sp.wrapping_add(4)), 4, real_mode) {
+        let psl = match self.vm_read(idx, VirtAddr::new(sp.wrapping_add(4)), 4, real_mode) {
             Ok(v) => v,
             Err(out) => return self.guest_access_failed(idx, out, "SVPCTX stack pop failed"),
         };
         self.machine.set_reg(14, sp.wrapping_add(8));
 
-        let ksp = if self.vms[idx].vm.v_is {
-            self.vms[idx].vm.vsp[0]
-        } else {
-            self.machine.reg(14)
-        };
-        let (esp, ssp, usp) = {
-            let vm = &self.vms[idx].vm;
-            (vm.vsp[1], vm.vsp[2], vm.vsp[3])
-        };
-        let mut ok = true;
-        ok &= self.write_gp(idx, pcbb, ksp).is_some();
-        ok &= self.write_gp_at(idx, pcbb, 4, esp).is_some();
-        ok &= self.write_gp_at(idx, pcbb, 8, ssp).is_some();
-        ok &= self.write_gp_at(idx, pcbb, 12, usp).is_some();
-        for i in 0..14 {
-            let v = self.machine.reg(i);
-            ok &= self.write_gp_at(idx, pcbb, 16 + 4 * i as u32, v).is_some();
+        let vm = &self.vms[idx].vm;
+        let mut sp = vm.vsp;
+        if !vm.v_is {
+            sp[0] = self.machine.reg(14);
         }
-        ok &= self.write_gp_at(idx, pcbb, 72, pc_img).is_some();
-        ok &= self.write_gp_at(idx, pcbb, 76, psl_img).is_some();
+        let pcb = Pcb {
+            sp,
+            regs: core::array::from_fn(|i| self.machine.reg(i)),
+            pc,
+            psl,
+            ..Pcb::default()
+        };
+        // Every word inside guest memory is written; any other halts.
+        let mut ok = true;
+        let Ok(()) = pcb.save(|off, v| {
+            ok &= self.write_gp_at(idx, pcbb, off, v).is_some();
+            Ok::<(), Infallible>(())
+        });
         if !ok {
             return self.security_halt(
                 idx,

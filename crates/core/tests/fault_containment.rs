@@ -367,3 +367,36 @@ fn nonexistent_memory_touch_records_halt_reason_and_counts() {
     mon.boot_vm(vm, 0x1000);
     assert!(mon.vm(vm).halt_reason.is_none());
 }
+
+#[test]
+fn pcb_running_off_the_end_of_guest_memory_halts_with_reason() {
+    let mut mon = monitor();
+    let vm = mon.create_vm("g", VmConfig::default());
+    // PCBB at MEMSIZE - 8: the stack pointers at offsets 0 and 4 are
+    // readable, the rest of the PCB is not. Loading it would resume the
+    // guest in a context it never wrote (PC 0).
+    boot_with(
+        &mut mon,
+        vm,
+        "
+        start:
+            movl #0x5000, sp
+            mfpr #200, r7
+            subl2 #8, r7
+            mtpr r7, #16
+            movl #0x1234, r0
+            ldpctx
+            rei
+        ",
+        0x1000,
+    );
+    mon.run(5_000_000);
+    assert_eq!(mon.vm(vm).state, VmState::ConsoleHalt);
+    assert_eq!(
+        mon.vm(vm).halt_reason,
+        Some(VmmError::GuestState {
+            what: "guest PCB unreadable"
+        })
+    );
+    assert_eq!(mon.vm(vm).regs[0], 0x1234, "no register was loaded");
+}

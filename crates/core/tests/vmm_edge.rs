@@ -2,8 +2,9 @@
 //! a reflected exception or a console halt — never to VMM corruption or
 //! a panic.
 
-use vax_arch::{AccessMode, Psl};
+use vax_arch::{AccessMode, MachineVariant, Psl};
 use vax_asm::assemble_text;
+use vax_cpu::{HaltReason, Machine, StepEvent};
 use vax_vmm::{Monitor, MonitorConfig, RunExit, VmConfig, VmId, VmState};
 
 fn monitor() -> Monitor {
@@ -364,4 +365,200 @@ fn virtual_ast_delivery_matches_bare_behavior() {
     mon.boot_vm(vm, 0x1000);
     assert_eq!(mon.run(5_000_000), RunExit::AllHalted);
     assert_eq!(mon.vm(vm).regs[9], 1, "virtual AST delivered");
+}
+
+// ---------------------------------------------------------------------
+// Bare machine vs VM: the microcode and the VMM's emulation of it agree
+// ---------------------------------------------------------------------
+
+/// Runs `src` (assembled at 0x1000, entered there in kernel mode with
+/// translation off; the program sets SCBB to 0x200 itself) to its HALT on
+/// a bare modified VAX and in a VM, with SCB offset → label `vectors`
+/// filled in. Returns each run's R0–R13.
+fn bare_and_vm(src: &str, vectors: &[(u32, &str)]) -> ([u32; 14], [u32; 14]) {
+    let (p, sym) = vax_asm::assemble_text_with_symbols(src, 0x1000).expect("assembles");
+
+    let mut m = Machine::new(MachineVariant::Modified, 0x10000);
+    m.mem_mut().write_slice(0x1000, &p.bytes).unwrap();
+    for (off, label) in vectors {
+        m.mem_mut().write_u32(0x200 + off, sym[*label]).unwrap();
+    }
+    m.set_pc(0x1000);
+    assert_eq!(
+        m.run(1_000_000),
+        StepEvent::Halted(HaltReason::HaltInstruction),
+        "bare run halts"
+    );
+
+    let mut mon = monitor();
+    let vm = mon.create_vm("g", VmConfig::default());
+    mon.vm_write_phys(vm, 0x1000, &p.bytes).unwrap();
+    for (off, label) in vectors {
+        mon.vm_write_phys(vm, 0x200 + off, &sym[*label].to_le_bytes())
+            .unwrap();
+    }
+    mon.boot_vm(vm, 0x1000);
+    assert_eq!(mon.run(50_000_000), RunExit::AllHalted);
+    assert_eq!(mon.vm(vm).halt_reason, None, "VM run halts by HALT");
+
+    let bare = std::array::from_fn(|i| m.reg(i));
+    let virt = std::array::from_fn(|i| mon.vm(vm).regs[i]);
+    (bare, virt)
+}
+
+/// Sets the stacks (the bare machine powers up on the interrupt stack,
+/// a VM boots off it), then REIs to kernel mode at IPL 31 off the
+/// interrupt stack, at `main`.
+const STACKS_THEN_MAIN: &str = "
+        start:
+            mtpr #0x200, #17        ; SCBB
+            mtpr #4, #19            ; ASTLVL 4: REI requests no AST
+            mtpr #0x3000, #4        ; ISP
+            mtpr #0x3800, #0        ; KSP
+            mtpr #0x4000, #1        ; ESP
+            mtpr #0x4800, #2        ; SSP
+            mtpr #0x5000, #3        ; USP
+            pushl #0x001F0000       ; kernel, IPL 31, off the interrupt stack
+            pushal main
+            rei
+";
+
+/// Runs `trap` in kernel mode with `PSL<IV>` set, after `setup`, bare
+/// and in a VM: a trap saves the PC of the instruction after the one
+/// that trapped, and a VM's reflected trap must save the same PC (and
+/// type code) as the bare machine.
+fn arithmetic_trap_bare_and_in_a_vm(setup: &str, trap: &str, code: u32) {
+    let src = format!(
+        "{STACKS_THEN_MAIN}
+        main:
+            pushl #0x20             ; kernel, IPL 0, PSL<IV> set
+            pushal body
+            rei
+        body:
+            {setup}
+            {trap}
+        next:
+            brb next
+            .align 4
+        arith:
+            movl (sp)+, r9          ; type code
+            movl (sp), r10          ; saved PC
+            halt
+        "
+    );
+    let (bare, vm) = bare_and_vm(&src, &[(0x34, "arith")]);
+    let (_, sym) = vax_asm::assemble_text_with_symbols(&src, 0x1000).unwrap();
+    assert_eq!((bare[9], bare[10]), (code, sym["next"]), "bare {trap}");
+    assert_eq!((vm[9], vm[10]), (bare[9], bare[10]), "VM {trap}");
+    assert_eq!(vm[2], bare[2], "{trap}: destination");
+}
+
+#[test]
+fn divide_by_zero_trap_saves_the_next_pc_bare_and_in_a_vm() {
+    arithmetic_trap_bare_and_in_a_vm("movl #7, r2", "divl2 #0, r2", 2);
+}
+
+#[test]
+fn overflow_trap_saves_the_next_pc_bare_and_in_a_vm() {
+    arithmetic_trap_bare_and_in_a_vm("movl #0x7fffffff, r2", "addl2 #1, r2", 1);
+}
+
+/// A PSL image for REI.
+fn image(cur: AccessMode, prv: AccessMode, ipl: u8, is: bool) -> u32 {
+    let mut psl = Psl::new();
+    psl.set_cur_mode(cur);
+    psl.set_prv_mode(prv);
+    psl.set_ipl(ipl);
+    psl.set_flag(Psl::IS, is);
+    psl.raw()
+}
+
+/// REI's rule, written out: (mode REI runs in, on the interrupt stack,
+/// what the image breaks, the image, accepted). Each state has a legal
+/// image and one breaking each check it can break: a kernel REI cannot
+/// break "no more privileged", and only kernel runs on the interrupt
+/// stack. The kernel-on-IS rows run at IPL 1, so the legal IS image
+/// keeps IPL 1: the VAX SRM also rejects an IS image at IPL 0 and an
+/// IPL increase, two checks this model does not make.
+#[rustfmt::skip]
+fn rei_spec() -> Vec<(AccessMode, bool, &'static str, u32, bool)> {
+    use AccessMode::{Executive as E, Kernel as K, Supervisor as S, User as U};
+    let mbz = 1 << 8;
+    vec![
+        (K, false, "legal",              image(K, K, 0, false),       true),
+        (K, false, "legal, to user",     image(U, U, 0, false),       true),
+        (K, false, "MBZ",                image(K, K, 0, false) | mbz, false),
+        (K, false, "prv above cur",      image(U, K, 0, false),       false),
+        (K, false, "IPL outside kernel", image(U, U, 1, false),       false),
+        (K, false, "IS from off IS",     image(K, K, 0, true),        false),
+        (K, true,  "legal",              image(K, K, 1, true),        true),
+        (K, true,  "legal, to user",     image(U, U, 0, false),       true),
+        (K, true,  "MBZ",                image(K, K, 0, true) | mbz,  false),
+        (K, true,  "prv above cur",      image(U, K, 0, false),       false),
+        (K, true,  "IPL outside kernel", image(U, U, 1, false),       false),
+        (K, true,  "IS outside kernel",  image(U, U, 0, true),        false),
+        (E, false, "legal",              image(E, E, 0, false),       true),
+        (E, false, "MBZ",                image(E, E, 0, false) | mbz, false),
+        (E, false, "more privileged",    image(K, K, 0, false),       false),
+        (E, false, "prv above cur",      image(U, E, 0, false),       false),
+        (E, false, "IPL outside kernel", image(U, U, 1, false),       false),
+        (E, false, "IS from off IS",     image(E, E, 0, true),        false),
+        (S, false, "legal",              image(S, S, 0, false),       true),
+        (S, false, "MBZ",                image(S, S, 0, false) | mbz, false),
+        (S, false, "more privileged",    image(E, E, 0, false),       false),
+        (S, false, "prv above cur",      image(U, S, 0, false),       false),
+        (S, false, "IPL outside kernel", image(U, U, 1, false),       false),
+        (S, false, "IS from off IS",     image(S, S, 0, true),        false),
+        (U, false, "legal",              image(U, U, 0, false),       true),
+        (U, false, "MBZ",                image(U, U, 0, false) | mbz, false),
+        (U, false, "more privileged",    image(S, S, 0, false),       false),
+        (U, false, "prv above cur",      image(U, K, 0, false),       false),
+        (U, false, "IPL outside kernel", image(U, U, 1, false),       false),
+        (U, false, "IS from off IS",     image(U, U, 0, true),        false),
+    ]
+}
+
+#[test]
+fn rei_accepts_and_rejects_the_same_images_bare_and_in_a_vm() {
+    for (mode, on_is, what, img, accepted) in rei_spec() {
+        // Reach the mode under test: kernel on the interrupt stack by a
+        // software interrupt, an outer mode by REI.
+        let enter = match (mode, on_is) {
+            (AccessMode::Kernel, false) => String::new(),
+            (AccessMode::Kernel, true) => "mtpr #1, #20\n mtpr #0, #18\n brb spin".into(),
+            (m, _) => format!("pushl #{:#x}\n pushal test\n rei", image(m, m, 0, false)),
+        };
+        let src = format!(
+            "{STACKS_THEN_MAIN}
+        main:
+            {enter}
+        test:
+            pushl #{img:#x}
+            pushal accepted
+            rei
+        spin:
+            brb spin
+            .align 4
+        accepted:
+            movl #1, r9
+            chmk #0
+            .align 4
+        resop:
+            movl #2, r9
+            halt
+            .align 4
+        chmk:
+            halt
+            .align 4
+        soft1:
+            brw test
+        "
+        );
+        let vectors = [(0x18, "resop"), (0x40, "chmk"), (0x84, "soft1")];
+        let (bare, vm) = bare_and_vm(&src, &vectors);
+        let expect = if accepted { 1 } else { 2 };
+        let case = format!("REI in {mode:?} (IS {on_is}), {what}, image {img:#010x}");
+        assert_eq!(bare[9], expect, "bare: {case}");
+        assert_eq!(vm[9], expect, "VM: {case}");
+    }
 }

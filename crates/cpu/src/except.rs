@@ -6,7 +6,7 @@
 use crate::decode::Abort;
 use crate::event::{StepEvent, VmExit};
 use crate::machine::Machine;
-use vax_arch::{AccessMode, Exception, Psl, VirtAddr};
+use vax_arch::{AccessMode, Exception, Frame, Psl, VirtAddr};
 
 impl Machine {
     /// Fetch–decode–execute one instruction, handling aborts.
@@ -54,12 +54,13 @@ impl Machine {
         };
         if self.psl.vm() {
             // Microcode clears PSL<VM>; the VMM sees the exception with
-            // the VM's PC still at the faulting instruction.
+            // the VM's PC where the frame saves it: at a fault's own
+            // instruction, past a trap's.
             self.psl.set_vm(false);
             self.counters.vm_exception_exits += 1;
             self.exit_stamp = self.cycles;
             self.cycles += self.costs.exception_entry;
-            debug_assert_eq!(self.pc(), pc_start, "faults must not advance PC");
+            self.set_pc(e.saved_pc(pc_start, next_pc));
             return StepEvent::VmExit(VmExit::Exception(e));
         }
         self.counters.exceptions += 1;
@@ -76,92 +77,63 @@ impl Machine {
         pc_start: u32,
         next_pc: u32,
     ) -> Result<(), ()> {
-        let push_pc = if e.is_fault() || matches!(e, Exception::MachineCheck { .. }) {
-            pc_start
-        } else {
-            next_pc
-        };
         let old_psl = self.psl;
-        let (new_mode, new_is) = match e {
-            Exception::ChangeMode { target, .. } => {
-                (old_psl.cur_mode().most_privileged(target), false)
+        let (mode, is) = e.target_stack(old_psl.cur_mode(), old_psl.flag(Psl::IS));
+        let Some(sp) = self.push_frame(&e.frame(old_psl, pc_start, next_pc), mode, is) else {
+            // Kernel (or target) stack not valid.
+            if matches!(e, Exception::KernelStackNotValid) {
+                return Err(());
             }
-            Exception::KernelStackNotValid => (AccessMode::Kernel, true),
-            _ => (AccessMode::Kernel, old_psl.flag(Psl::IS)),
+            return self.deliver_exception(Exception::KernelStackNotValid, pc_start, next_pc);
         };
-
-        // Select the target stack.
-        let mut sp = if new_is {
-            self.isp()
-        } else {
-            self.sp_for_mode(new_mode)
-        };
-
-        // Build the frame so the handler sees (SP)=param1, …, PC, PSL —
-        // the architectural layout (the handler removes the parameters,
-        // then REI pops PC and PSL). Push order: PSL, PC, params reversed.
-        let params = e.parameters();
-        let mut to_push: Vec<u32> = vec![old_psl.raw_visible(), push_pc];
-        for p in params.as_slice().iter().rev() {
-            to_push.push(*p);
-        }
-        for v in to_push.iter() {
-            sp = sp.wrapping_sub(4);
-            if self.write_virt(VirtAddr::new(sp), *v, 4, new_mode).is_err() {
-                // Kernel (or target) stack not valid.
-                if matches!(e, Exception::KernelStackNotValid) {
-                    return Err(());
-                }
-                return self.deliver_exception(Exception::KernelStackNotValid, pc_start, next_pc);
-            }
-        }
-
-        // Fetch the vector.
-        let Ok(vector) = self.mem.read_u32(self.scbb + e.vector().offset()) else {
-            return Err(());
-        };
-
-        // Commit: stack pointer, PSL, PC.
         let mut new_psl = Psl::new();
         new_psl.set_ipl(old_psl.ipl());
-        new_psl.set_cur_mode(new_mode);
+        new_psl.set_cur_mode(mode);
         new_psl.set_prv_mode(old_psl.cur_mode());
-        new_psl.set_flag(Psl::IS, new_is);
-        // Park the new SP where set_psl's re-banking will pick it up.
-        if new_is {
-            self.set_isp(sp);
-        } else {
-            self.set_sp_for_mode(new_mode, sp);
-        }
-        self.set_psl(new_psl);
-        self.set_pc(vector & !3);
-        self.cycles += self.costs.exception_entry;
-        Ok(())
+        new_psl.set_flag(Psl::IS, is);
+        self.enter_vector(e.vector().offset(), new_psl, sp)
     }
 
     /// Delivers an interrupt on the interrupt stack.
     pub(crate) fn deliver_interrupt(&mut self, ipl: u8, vector: u16) -> Result<(), ()> {
-        let old_psl = self.psl;
-        let mut sp = self.isp();
-        for v in [old_psl.raw_visible(), self.pc()] {
-            sp = sp.wrapping_sub(4);
-            if self
-                .write_virt(VirtAddr::new(sp), v, 4, AccessMode::Kernel)
-                .is_err()
-            {
-                return Err(());
-            }
-        }
-        let Ok(handler) = self.mem.read_u32(self.scbb + vector as u32) else {
-            return Err(());
-        };
+        let frame = Frame::new(self.psl, self.pc());
+        let sp = self
+            .push_frame(&frame, AccessMode::Kernel, true)
+            .ok_or(())?;
+        // Kernel mode, previous mode kernel, on the interrupt stack.
         let mut new_psl = Psl::new();
         new_psl.set_ipl(ipl);
-        new_psl.set_cur_mode(AccessMode::Kernel);
-        new_psl.set_prv_mode(AccessMode::Kernel);
         new_psl.set_flag(Psl::IS, true);
-        self.set_isp(sp);
-        self.set_psl(new_psl);
+        self.enter_vector(vector as u32, new_psl, sp)
+    }
+
+    /// Pushes `frame` as `mode` on the stack of (`mode`, `is`), returning
+    /// the new stack pointer, or `None` if a push faulted. The stack
+    /// pointer itself is left alone.
+    fn push_frame(&mut self, frame: &Frame, mode: AccessMode, is: bool) -> Option<u32> {
+        let mut sp = if is {
+            self.isp()
+        } else {
+            self.sp_for_mode(mode)
+        };
+        for &v in frame.push_order() {
+            sp = sp.wrapping_sub(4);
+            self.write_virt(VirtAddr::new(sp), v, 4, mode).ok()?;
+        }
+        Some(sp)
+    }
+
+    /// Enters the handler at SCB offset `vector` with `psl`, its stack
+    /// (the one `psl` selects) at `sp`. `Err` if the vector is unreadable.
+    fn enter_vector(&mut self, vector: u32, psl: Psl, sp: u32) -> Result<(), ()> {
+        let handler = self.mem.read_u32(self.scbb + vector).map_err(|_| ())?;
+        // Park the new SP where set_psl's re-banking will pick it up.
+        if psl.flag(Psl::IS) {
+            self.set_isp(sp);
+        } else {
+            self.set_sp_for_mode(psl.cur_mode(), sp);
+        }
+        self.set_psl(psl);
         self.set_pc(handler & !3);
         self.cycles += self.costs.exception_entry;
         Ok(())
@@ -175,25 +147,7 @@ impl Machine {
         let new_pc = self.read_virt(VirtAddr::new(sp), 4, cur_mode)?;
         let img_raw = self.read_virt(VirtAddr::new(sp.wrapping_add(4)), 4, cur_mode)?;
         let img = Psl::from_raw(img_raw);
-
-        // Validity checks (reserved operand fault on failure).
-        if img_raw & Psl::MBZ != 0 {
-            return Err(Exception::ReservedOperand.into());
-        }
-        let new_cur = img.cur_mode();
-        if new_cur.is_more_privileged_than(cur_mode) {
-            return Err(Exception::ReservedOperand.into());
-        }
-        if img.prv_mode().is_more_privileged_than(new_cur) {
-            return Err(Exception::ReservedOperand.into());
-        }
-        if img.ipl() > 0 && new_cur != AccessMode::Kernel {
-            return Err(Exception::ReservedOperand.into());
-        }
-        if img.flag(Psl::IS) && !self.psl.flag(Psl::IS) {
-            return Err(Exception::ReservedOperand.into());
-        }
-        if self.psl.flag(Psl::IS) && img.flag(Psl::IS) && new_cur != AccessMode::Kernel {
+        if !img.rei_image_valid(cur_mode, self.psl.flag(Psl::IS)) {
             return Err(Exception::ReservedOperand.into());
         }
 
@@ -201,11 +155,7 @@ impl Machine {
         self.regs[14] = sp.wrapping_add(8);
         self.set_psl(img);
         self.set_pc(new_pc);
-        // AST delivery check: REI into a mode no more privileged than
-        // ASTLVL requests the AST-delivery software interrupt (level 2).
-        if new_cur.bits() >= self.astlvl && self.astlvl <= 3 {
-            self.sisr |= 1 << 2;
-        }
+        self.sisr |= img.rei_ast_request(self.astlvl);
         self.counters.rei += 1;
         self.cycles += self.costs.rei;
         Ok(())

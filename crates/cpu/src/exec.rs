@@ -6,7 +6,8 @@
 use crate::decode::{mask_width, Abort, DecOp, Decoded};
 use crate::machine::Machine;
 use vax_arch::{
-    AccessMode, ArithmeticCode, DataType, Exception, Ipr, MachineVariant, Opcode, Psl, VirtAddr,
+    AccessMode, ArithmeticCode, DataType, Exception, Ipr, MachineVariant, Opcode, Pcb, Psl,
+    VirtAddr,
 };
 
 /// What execution produced.
@@ -885,43 +886,22 @@ impl Machine {
     fn exec_ldpctx(&mut self, d: &Decoded) -> Result<ExecOutcome, Abort> {
         self.counters.context_switches += 1;
         self.cycles += self.costs.context_switch;
-        let pcb = self.pcbb;
-        let rd = |m: &Machine, off: u32| m.mem.read_u32(pcb + off).map_err(Abort::Fault);
-        let ksp = rd(self, 0)?;
-        let esp = rd(self, 4)?;
-        let ssp = rd(self, 8)?;
-        let usp = rd(self, 12)?;
-        let mut regs = [0u32; 12];
-        for (i, r) in regs.iter_mut().enumerate() {
-            *r = rd(self, 16 + 4 * i as u32)?;
-        }
-        let ap = rd(self, 64)?;
-        let fp = rd(self, 68)?;
-        let pc = rd(self, 72)?;
-        let psl = rd(self, 76)?;
-        let p0br = rd(self, 80)?;
-        let p0lr = rd(self, 84)?;
-        let p1br = rd(self, 88)?;
-        let p1lr = rd(self, 92)?;
+        let pcb = Pcb::load(|off| self.mem.read_u32(self.pcbb.wrapping_add(off)))
+            .map_err(Abort::Fault)?;
 
         let _ = self.begin_commit(d);
-        self.set_sp_for_mode(AccessMode::Kernel, ksp);
-        self.set_sp_for_mode(AccessMode::Executive, esp);
-        self.set_sp_for_mode(AccessMode::Supervisor, ssp);
-        self.set_sp_for_mode(AccessMode::User, usp);
-        for (i, r) in regs.iter().enumerate() {
-            self.set_reg(i, *r);
+        for (mode, sp) in AccessMode::ALL.into_iter().zip(pcb.sp) {
+            self.set_sp_for_mode(mode, sp);
         }
-        self.set_reg(12, ap);
-        self.set_reg(13, fp);
-        self.mmu.set_p0br(p0br);
-        self.mmu.set_p0lr(p0lr & 0x3f_ffff);
-        self.mmu.set_p1br(p1br);
-        self.mmu.set_p1lr(p1lr & 0x3f_ffff);
+        self.regs[..14].copy_from_slice(&pcb.regs);
+        self.mmu.set_p0br(pcb.p0br);
+        self.mmu.set_p0lr(pcb.p0lr & 0x3f_ffff);
+        self.mmu.set_p1br(pcb.p1br);
+        self.mmu.set_p1lr(pcb.p1lr & 0x3f_ffff);
         self.mmu.tlb_mut().invalidate_process();
         // Push the saved PSL and PC for the REI that completes the switch.
-        self.push(psl).map_err(Abort::Fault)?;
-        self.push(pc).map_err(Abort::Fault)?;
+        self.push(pcb.psl).map_err(Abort::Fault)?;
+        self.push(pcb.pc).map_err(Abort::Fault)?;
         self.set_pc(d.next_pc);
         Ok(ExecOutcome::Retired)
     }
@@ -932,27 +912,15 @@ impl Machine {
         let _ = self.begin_commit(d);
         let pc = self.pop().map_err(Abort::Fault)?;
         let psl = self.pop().map_err(Abort::Fault)?;
-        let pcb = self.pcbb;
-        let wr =
-            |m: &mut Machine, off: u32, v: u32| m.mem.write_u32(pcb + off, v).map_err(Abort::Fault);
-        wr(self, 72, pc)?;
-        wr(self, 76, psl)?;
-        let ksp = self.sp_for_mode(AccessMode::Kernel);
-        let esp = self.sp_for_mode(AccessMode::Executive);
-        let ssp = self.sp_for_mode(AccessMode::Supervisor);
-        let usp = self.sp_for_mode(AccessMode::User);
-        wr(self, 0, ksp)?;
-        wr(self, 4, esp)?;
-        wr(self, 8, ssp)?;
-        wr(self, 12, usp)?;
-        for i in 0..12 {
-            let v = self.reg(i);
-            wr(self, 16 + 4 * i as u32, v)?;
-        }
-        let ap = self.reg(12);
-        let fp = self.reg(13);
-        wr(self, 64, ap)?;
-        wr(self, 68, fp)?;
+        let pcb = Pcb {
+            sp: AccessMode::ALL.map(|mode| self.sp_for_mode(mode)),
+            regs: core::array::from_fn(|i| self.reg(i)),
+            pc,
+            psl,
+            ..Pcb::default()
+        };
+        pcb.save(|off, v| self.mem.write_u32(self.pcbb.wrapping_add(off), v))
+            .map_err(Abort::Fault)?;
         self.set_pc(d.next_pc);
         Ok(ExecOutcome::Retired)
     }

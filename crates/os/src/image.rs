@@ -6,7 +6,7 @@ use crate::kernel::{kernel_source, Flavor, OsConfig};
 use crate::layout::{self as l, kvar};
 use crate::workload::user_source;
 use std::collections::HashMap;
-use vax_arch::{Protection, Psl, Pte, ScbVector};
+use vax_arch::{Pcb, Protection, Psl, Pte, ScbVector};
 
 /// A bootable guest image: `(guest physical address, bytes)` segments
 /// plus the entry point.
@@ -164,25 +164,28 @@ pub fn build_image(config: &OsConfig) -> Result<GuestImage, BuildError> {
     user_psl.set_cur_mode(vax_arch::AccessMode::User);
     user_psl.set_prv_mode(vax_arch::AccessMode::User);
     for proc in 0..config.nproc {
-        let mut pcb = vec![0u8; 128];
-        let mut put = |off: u32, v: u32| {
-            pcb[off as usize..off as usize + 4].copy_from_slice(&le(v));
+        let mut pcb = Pcb {
+            // Mode stacks are S-space addresses: they must survive
+            // P0-table switches.
+            sp: [
+                0x8000_0000 + l::kstack_top(proc),
+                0x8000_0000 + l::estack_top(proc),
+                0x8000_0000 + l::sstack_top(proc),
+                l::USER_SP,
+            ],
+            pc: l::USER_CODE_VA,
+            psl: user_psl.raw(),
+            p0br: 0x8000_0000 + l::p0t_gpa(proc),
+            p0lr: l::USER_P0LR,
+            p1lr: 1 << 21, // P1 is empty
+            ..Pcb::default()
         };
-        // Mode stacks are S-space addresses: they must survive P0-table
-        // switches.
-        put(0, 0x8000_0000 + l::kstack_top(proc));
-        put(4, 0x8000_0000 + l::estack_top(proc));
-        put(8, 0x8000_0000 + l::sstack_top(proc));
-        put(12, l::USER_SP);
-        put(16 + 4 * 6, config.iterations); // R6
-        put(16 + 4 * 10, config.workload.id(proc)); // R10
-        put(72, l::USER_CODE_VA); // PC
-        put(76, user_psl.raw()); // PSL
-        put(80, 0x8000_0000 + l::p0t_gpa(proc)); // P0BR
-        put(84, l::USER_P0LR); // P0LR
-        put(88, 0); // P1BR (unused: P1 is empty)
-        put(92, 1 << 21); // P1LR: empty P1
-        segments.push((l::pcb_gpa(proc), pcb));
+        pcb.regs[6] = config.iterations;
+        pcb.regs[10] = config.workload.id(proc);
+        // The segment covers the process's whole 128-byte PCB slot.
+        let mut slot = vec![0u8; 128];
+        slot[..Pcb::BYTES as usize].copy_from_slice(&pcb.to_bytes());
+        segments.push((l::pcb_gpa(proc), slot));
 
         let data_first_gpfn = l::user_data_gpa(proc) >> 9;
         let mut p0t = Vec::with_capacity(128 * 4);

@@ -1,15 +1,16 @@
-//! Allocation bound on the VM-exit path, measured by a counting global
-//! allocator.
+//! Allocation bounds on the VM-exit path and on bare exception delivery,
+//! measured by a counting global allocator.
 //!
 //! A VM-emulation trap hands the VMM the machine's own decode of the
-//! trapped instruction, and an exception is reflected without building
-//! its frame on the heap, so once the decode cache holds its segments
-//! guests run through thousands of exits with next to no allocation.
-//! The counts are per thread, so the tests in this binary may run in
-//! parallel.
+//! trapped instruction, and an exception is reflected (or, on a bare
+//! machine, delivered) without building its frame on the heap, so once
+//! the decode cache holds its segments guests run through thousands of
+//! exits or exceptions with next to no allocation. The counts are per
+//! thread, so the tests in this binary may run in parallel.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use vax_cpu::{Machine, StepEvent};
 use vax_os::{boot_in_monitor, build_image, OsConfig, Workload};
 use vax_vmm::{Monitor, MonitorConfig, RunExit, ShadowConfig, VmConfig};
 
@@ -111,5 +112,56 @@ fn vm_exits_allocate_nothing_once_warm() {
     assert!(
         allocations * 100 < exits,
         "{allocations} allocations over {exits} VM exits"
+    );
+}
+
+#[test]
+fn bare_exceptions_allocate_nothing_once_warm() {
+    // Change-mode traps into a handler that REIs, and reserved-operand
+    // faults whose handler steps over the faulting MTPR and REIs.
+    let (p, sym) = vax_asm::assemble_text_with_symbols(
+        "
+        start:
+            movl #0x4800, sp        ; ISP: the machine powers up on it
+            mtpr #0x200, #17        ; SCBB
+            mtpr #0x5000, #0        ; KSP
+            pushl #0x001F0000       ; kernel, IPL 31, off the interrupt stack
+            pushal main
+            rei
+        main:
+            movl #1000000, r5
+        top:
+            chmk #1
+            mtpr #0, #63            ; no such register: reserved operand
+            sobgtr r5, top
+            halt
+            .align 4
+        chmk:
+            addl2 #4, sp            ; drop the change-mode code
+            rei
+            .align 4
+        resop:
+            addl2 #3, (sp)          ; step over the 3-byte MTPR
+            rei
+        ",
+        0x1000,
+    )
+    .expect("assembles");
+    let mut m = Machine::new(vax_arch::MachineVariant::Modified, 0x10000);
+    m.mem_mut().write_slice(0x1000, &p.bytes).unwrap();
+    for (vector, handler) in [(0x40, "chmk"), (0x18, "resop")] {
+        m.mem_mut().write_u32(0x200 + vector, sym[handler]).unwrap();
+    }
+    m.set_pc(0x1000);
+    assert_eq!(m.run(10_000), StepEvent::Ok, "warm-up");
+
+    let before = m.counters().exceptions;
+    let (event, allocations) = allocations_by(|| m.run(100_000));
+    let exceptions = m.counters().exceptions - before;
+    assert_eq!(event, StepEvent::Ok, "the loop ran the whole window");
+    assert!(exceptions >= 10_000, "only {exceptions} exceptions");
+    assert_eq!(
+        allocations, 0,
+        "{allocations} allocations over {exceptions} exceptions"
     );
 }
