@@ -207,15 +207,15 @@ impl Psl {
         self.set_flag(Self::V, false);
     }
 
-    /// REI's checks on the PSL image it pops, made from mode `cur`, on
-    /// the interrupt stack or not. REI takes a reserved-operand fault
-    /// unless all hold: no MBZ bit is set; the image's mode is no more
-    /// privileged than `cur`; its previous mode is no more privileged
-    /// than its mode; its IPL is 0 outside kernel mode; it names the
-    /// interrupt stack only when REI runs on it, and then only in
-    /// kernel mode. (The VAX SRM also rejects an interrupt-stack image
-    /// at IPL 0 and an IPL above the current one; this model does not.)
-    pub fn rei_image_valid(self, cur: AccessMode, on_is: bool) -> bool {
+    /// REI's checks on the PSL image it pops, made from mode `cur` at
+    /// IPL `cur_ipl`, on the interrupt stack or not — the VAX SRM's
+    /// eight. REI takes a reserved-operand fault unless all hold: no
+    /// MBZ bit is set; the image's mode is no more privileged than
+    /// `cur`; its previous mode is no more privileged than its mode; its
+    /// IPL is 0 outside kernel mode; it names the interrupt stack only
+    /// when REI runs on it, then only in kernel mode and never at IPL 0;
+    /// and its IPL is no higher than `cur_ipl`.
+    pub fn rei_image_valid(self, cur: AccessMode, on_is: bool, cur_ipl: u8) -> bool {
         let mode = self.cur_mode();
         let to_is = self.flag(Self::IS);
         self.0 & Self::MBZ == 0
@@ -224,6 +224,8 @@ impl Psl {
             && (self.ipl() == 0 || mode == AccessMode::Kernel)
             && (!to_is || on_is)
             && (!to_is || mode == AccessMode::Kernel)
+            && (!to_is || self.ipl() != 0)
+            && self.ipl() <= cur_ipl
     }
 
     /// The SISR bits REI sets for this image: the AST-delivery software
@@ -380,7 +382,7 @@ mod tests {
     #[test]
     fn rei_image_checks() {
         use AccessMode::*;
-        let ok = |img: Psl, cur, on_is| img.rei_image_valid(cur, on_is);
+        let ok = |img: Psl, cur, on_is| img.rei_image_valid(cur, on_is, 31);
         assert!(ok(image(User, User, 0, false), Kernel, true));
         assert!(ok(image(Kernel, Kernel, 31, true), Kernel, true));
         assert!(!ok(Psl::from_raw(1 << 8), Kernel, false), "MBZ bit");
@@ -405,6 +407,14 @@ mod tests {
             !ok(image(User, User, 0, true), Kernel, true),
             "IS outside kernel"
         );
+        assert!(
+            !ok(image(Kernel, Kernel, 0, true), Kernel, true),
+            "IS at IPL 0"
+        );
+        let at = |img: Psl, ipl| img.rei_image_valid(Kernel, false, ipl);
+        assert!(at(image(Kernel, Kernel, 7, false), 7), "IPL kept");
+        assert!(at(image(Kernel, Kernel, 6, false), 7), "IPL lowered");
+        assert!(!at(image(Kernel, Kernel, 8, false), 7), "IPL raised");
     }
 
     #[test]

@@ -12,6 +12,7 @@ use crate::shadow::FillOutcome;
 use crate::vm::{DirtyStrategy, IoStrategy, VirtualIrq, VmState};
 use core::convert::Infallible;
 use vax_arch::{AccessMode, Exception, Frame, Ipr, Opcode, Pcb, Psl, VirtAddr};
+use vax_cpu::decode::RegUpdates;
 use vax_cpu::{DecOp, Decoded, OperandLoc, VmExit};
 use vax_mem::MemFault;
 
@@ -407,10 +408,13 @@ impl Monitor {
 
     /// Pushes `frame` on the guest's virtual stack for `(mode, is)` and
     /// enters the handler at guest SCB offset `vector` in that mode, with
-    /// the VM's mode as the previous one and the condition codes clear;
+    /// the VM's mode as the previous one and the condition codes clear.
     /// `trapped`, the instruction that caused it, commits its register
-    /// side effects just before. `Ok(false)`: the VM halted, its SCB
-    /// unreadable or the vector `empty`. `Err`: a push faulted.
+    /// side effects first, as the bare machine does before it raises the
+    /// exception — so a CHMx whose operand moves SP pushes below the
+    /// moved SP — and a faulting push undoes them, so the instruction
+    /// restarts clean. `Ok(false)`: the VM halted, its SCB unreadable or
+    /// the vector `empty`. `Err`: a push faulted.
     fn enter_guest(
         &mut self,
         idx: usize,
@@ -420,12 +424,25 @@ impl Monitor {
         empty: &'static str,
         trapped: Option<&Decoded>,
     ) -> Result<bool, FillOutcome> {
+        let mut undo = RegUpdates::new();
+        if let Some(d) = trapped {
+            for &(r, _) in &d.reg_updates {
+                undo.push((r, self.machine.reg(r as usize)));
+            }
+            self.machine.commit_reg_updates(d);
+        }
         self.save_live_sp(idx);
         let mut sp = self.vms[idx].vm.stack_slot(mode, is);
         let real_mode = compress_mode(mode);
         for &v in frame.push_order() {
             sp = sp.wrapping_sub(4);
-            self.vm_write(idx, VirtAddr::new(sp), v, 4, real_mode)?;
+            if let Err(out) = self.vm_write(idx, VirtAddr::new(sp), v, 4, real_mode) {
+                for &(r, old) in undo.iter().rev() {
+                    self.machine.set_reg(r as usize, old);
+                }
+                self.save_live_sp(idx);
+                return Err(out);
+            }
         }
         self.vms[idx].vm.set_stack_slot(mode, is, sp);
 
@@ -434,9 +451,6 @@ impl Monitor {
             None => "guest SCB unreadable",
             Some(h) if h & !3 == 0 => empty,
             Some(h) => {
-                if let Some(d) = trapped {
-                    self.machine.commit_reg_updates(d);
-                }
                 let old_cur = self.vms[idx].vm.vmpsl.cur_mode();
                 self.set_vm_mode(idx, mode, old_cur, is, true);
                 self.machine.set_pc(h & !3);
@@ -512,7 +526,7 @@ impl Monitor {
         self.charge(self.config.costs.rei);
         self.vms[idx].vm.stats.rei += 1;
         let vm = &self.vms[idx].vm;
-        let (cur, is) = (vm.vmpsl.cur_mode(), vm.v_is);
+        let (cur, is, ipl) = (vm.vmpsl.cur_mode(), vm.v_is, vm.vmpsl.ipl());
         let real_mode = compress_mode(cur);
         let sp = self.machine.reg(14);
         let new_pc = match self.vm_read(idx, VirtAddr::new(sp), 4, real_mode) {
@@ -524,9 +538,10 @@ impl Monitor {
             Err(out) => return self.guest_access_failed(idx, out, "REI stack read"),
         };
 
-        // The microcode's checks, but against *virtual* modes — this is
-        // where the guest is prevented from increasing its own privilege.
-        if !img.rei_image_valid(cur, is) {
+        // The microcode's checks, but against *virtual* modes and the
+        // virtual IPL — this is where the guest is prevented from
+        // increasing its own privilege.
+        if !img.rei_image_valid(cur, is, ipl) {
             return self.reflect(idx, Exception::ReservedOperand);
         }
 

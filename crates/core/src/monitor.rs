@@ -687,7 +687,7 @@ impl Monitor {
     }
 
     fn world_load(&mut self, idx: usize) {
-        let (sbr, slr, p0br, p0lr, p1br, p1lr) = {
+        let bases = {
             let slot = &self.vms[idx];
             slot.shadow.real_mmu_bases(&slot.vm)
         };
@@ -704,30 +704,18 @@ impl Monitor {
             self.machine.set_reg(i, *r);
         }
         let mmu = self.machine.mmu_mut();
-        mmu.set_sbr(sbr);
-        mmu.set_slr(slr);
-        mmu.set_p0br(p0br);
-        mmu.set_p0lr(p0lr);
-        mmu.set_p1br(p1br);
-        mmu.set_p1lr(p1lr);
+        mmu.load_bases(bases);
         mmu.set_mapen(true);
-        mmu.tlb_mut().invalidate_all();
     }
 
     /// Refreshes the real MMU base registers after an emulation changed
     /// the guest's memory-management state.
     pub(crate) fn refresh_mmu(&mut self, idx: usize) {
-        let (sbr, slr, p0br, p0lr, p1br, p1lr) = {
+        let bases = {
             let slot = &self.vms[idx];
             slot.shadow.real_mmu_bases(&slot.vm)
         };
-        let mmu = self.machine.mmu_mut();
-        mmu.set_sbr(sbr);
-        mmu.set_slr(slr);
-        mmu.set_p0br(p0br);
-        mmu.set_p0lr(p0lr);
-        mmu.set_p1br(p1br);
-        mmu.set_p1lr(p1lr);
+        self.machine.mmu_mut().load_bases(bases);
     }
 
     fn resume(&mut self, idx: usize) {
@@ -760,6 +748,25 @@ impl Monitor {
             }
             self.vms[idx].vm.pend_virq(irq);
         }
+    }
+
+    /// The next cycle at which the VMM must look at VM `idx` again: the
+    /// slice end, its pending virtual-disk completion, or the overflow
+    /// of its virtual interval timer counted from `timer_mark` —
+    /// whichever comes first. A virtual interrupt still deliverable (its
+    /// delivery just failed) is retried after one instruction, as at
+    /// every instruction boundary.
+    fn next_event(&self, idx: usize, slice_end: u64, timer_mark: u64) -> u64 {
+        let vm = &self.vms[idx].vm;
+        if vm.deliverable_virq().is_some() {
+            return self.machine.cycles();
+        }
+        let disk = vm.vdisk_pending.map_or(u64::MAX, |(at, _, _)| at);
+        let timer = vm
+            .vtimer
+            .cycles_to_fire()
+            .map_or(u64::MAX, |n| timer_mark.saturating_add(n));
+        slice_end.min(disk).min(timer)
     }
 
     /// Runs VMs until `budget` machine cycles have elapsed or every VM
@@ -818,11 +825,12 @@ impl Monitor {
             let mut reschedule = false;
             let mut timer_mark = slice_start;
             while !reschedule && self.machine.cycles() < slice_end {
-                // Complete due virtual disk I/O so polling guests make
-                // progress within their slice.
+                // An event point: complete due virtual disk I/O so polling
+                // guests make progress within their slice.
                 self.complete_vdisk(idx);
-                // Advance the VM's interval clock by the cycles it just
-                // consumed — it runs only while the VM runs (paper §5).
+                // Advance the VM's interval clock by the cycles it
+                // consumed since the last mark — it runs only while the VM
+                // runs (paper §5).
                 let now = self.machine.cycles();
                 if self.vms[idx].vm.vtimer.tick(now - timer_mark) {
                     self.vms[idx].vm.pend_virq(VirtualIrq {
@@ -836,7 +844,26 @@ impl Monitor {
                 if let Some(irq) = self.vms[idx].vm.deliverable_virq() {
                     self.deliver_virq(idx, irq);
                 }
-                match self.machine.step() {
+                // Run the guest to the next event. Nothing this point
+                // reads changes before it but in VMM code — at an exit or
+                // at the event — so stepping there in one batch matches
+                // stepping one instruction at a time.
+                let batch = self
+                    .machine
+                    .run_until(self.next_event(idx, slice_end, timer_mark));
+                // The timer as the per-instruction loop would leave it:
+                // ticked up to the start of the batch's last step, short
+                // of its overflow (the horizon); a one-step batch had no
+                // such boundary after the mark.
+                if batch.steps > 1 {
+                    let fired = self.vms[idx]
+                        .vm
+                        .vtimer
+                        .tick(batch.last_step_start - timer_mark);
+                    debug_assert!(!fired, "the timer fires only at an event point");
+                    timer_mark = batch.last_step_start;
+                }
+                match batch.event {
                     StepEvent::Ok => {}
                     StepEvent::Halted(_) => {
                         // Double faults at machine level cannot happen in

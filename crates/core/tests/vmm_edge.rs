@@ -463,6 +463,31 @@ fn overflow_trap_saves_the_next_pc_bare_and_in_a_vm() {
     arithmetic_trap_bare_and_in_a_vm("movl #0x7fffffff, r2", "addl2 #1, r2", 1);
 }
 
+/// A CHMK whose operand pops the stack: the bare machine commits the
+/// pop before it pushes the exception frame, so the frame lands below
+/// the popped SP and REI returns to it; the VM's emulated CHMK must do
+/// the same.
+#[test]
+fn chm_operand_moving_sp_keeps_its_update_in_a_vm() {
+    let src = format!(
+        "{STACKS_THEN_MAIN}
+        main:
+            pushl #7
+            chmk (sp)+
+            movl sp, r8             ; SP after the REI
+            halt
+            .align 4
+        chmk:
+            movl sp, r7             ; SP with the frame pushed
+            movl (sp)+, r9          ; the code
+            rei
+        "
+    );
+    let (bare, vm) = bare_and_vm(&src, &[(0x40, "chmk")]);
+    assert_eq!((bare[7], bare[8], bare[9]), (0x37f2, 0x37fe, 7), "bare");
+    assert_eq!((vm[7], vm[8], vm[9]), (bare[7], bare[8], bare[9]), "VM");
+}
+
 /// A PSL image for REI.
 fn image(cur: AccessMode, prv: AccessMode, ipl: u8, is: bool) -> u32 {
     let mut psl = Psl::new();
@@ -477,9 +502,10 @@ fn image(cur: AccessMode, prv: AccessMode, ipl: u8, is: bool) -> u32 {
 /// what the image breaks, the image, accepted). Each state has a legal
 /// image and one breaking each check it can break: a kernel REI cannot
 /// break "no more privileged", and only kernel runs on the interrupt
-/// stack. The kernel-on-IS rows run at IPL 1, so the legal IS image
-/// keeps IPL 1: the VAX SRM also rejects an IS image at IPL 0 and an
-/// IPL increase, two checks this model does not make.
+/// stack. The kernel-on-IS rows run at IPL 1 (a software interrupt), so
+/// the legal IS image keeps IPL 1 — an IS image at IPL 0 faults — and
+/// they are the rows that can raise the IPL; kernel off the interrupt
+/// stack runs at IPL 31, and outer modes may only name IPL 0.
 #[rustfmt::skip]
 fn rei_spec() -> Vec<(AccessMode, bool, &'static str, u32, bool)> {
     use AccessMode::{Executive as E, Kernel as K, Supervisor as S, User as U};
@@ -497,6 +523,9 @@ fn rei_spec() -> Vec<(AccessMode, bool, &'static str, u32, bool)> {
         (K, true,  "prv above cur",      image(U, K, 0, false),       false),
         (K, true,  "IPL outside kernel", image(U, U, 1, false),       false),
         (K, true,  "IS outside kernel",  image(U, U, 0, true),        false),
+        (K, true,  "IS at IPL 0",        image(K, K, 0, true),        false),
+        (K, true,  "IPL raised",         image(K, K, 2, true),        false),
+        (K, true,  "IPL raised, off IS", image(K, K, 2, false),       false),
         (E, false, "legal",              image(E, E, 0, false),       true),
         (E, false, "MBZ",                image(E, E, 0, false) | mbz, false),
         (E, false, "more privileged",    image(K, K, 0, false),       false),

@@ -147,7 +147,7 @@ impl Machine {
         let new_pc = self.read_virt(VirtAddr::new(sp), 4, cur_mode)?;
         let img_raw = self.read_virt(VirtAddr::new(sp.wrapping_add(4)), 4, cur_mode)?;
         let img = Psl::from_raw(img_raw);
-        if !img.rei_image_valid(cur_mode, self.psl.flag(Psl::IS)) {
+        if !img.rei_image_valid(cur_mode, self.psl.flag(Psl::IS), self.psl.ipl()) {
             return Err(Exception::ReservedOperand.into());
         }
 

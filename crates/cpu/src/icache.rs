@@ -465,6 +465,17 @@ impl DecodeCache {
         self.slots.get(pa).map(|e| &e.tpl)
     }
 
+    /// Credits the hit a lookup of `pa` would score — statistics and
+    /// entry heat — without the lookup: loop replay retires a cached
+    /// instruction without decoding it again.
+    #[inline]
+    pub fn replay_hit(&mut self, pa: u32) {
+        self.stats.hits += 1;
+        if let Some(e) = self.slots.get_mut(pa) {
+            e.heat = e.heat.saturating_add(1);
+        }
+    }
+
     /// Returns the cached template for `pa` without touching statistics
     /// or heat — used by the translator when walking a candidate block.
     #[inline]

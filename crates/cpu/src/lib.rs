@@ -55,6 +55,7 @@ pub mod exec;
 pub mod fixedvec;
 pub mod icache;
 pub mod machine;
+pub mod replay;
 pub mod sensitivity;
 mod slots;
 pub mod trans;
@@ -67,5 +68,6 @@ pub use event::{HaltReason, OperandLoc, StepEvent, VmExit};
 pub use fixedvec::FixedVec;
 pub use icache::DecodeCacheStats;
 pub use machine::{ExecTier, IntervalTimer, Machine, MachineState, TIMER_IPL};
+pub use replay::{Batch, LoopReplayStats};
 pub use sensitivity::{scan_sensitivity, ScanOutcome, SensitivityFinding};
 pub use trans::TransStats;

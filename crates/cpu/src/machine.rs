@@ -6,6 +6,7 @@ use crate::counters::CpuCounters;
 use crate::decode::Decoded;
 use crate::event::{HaltReason, StepEvent, VmExit};
 use crate::icache::{DecodeCache, DecodeCacheStats};
+use crate::replay::LoopReplayStats;
 use crate::trans::{TransCache, TransStats};
 use std::collections::VecDeque;
 use vax_arch::{
@@ -62,6 +63,18 @@ impl IntervalTimer {
             return self.iccs & Self::IE != 0;
         }
         false
+    }
+
+    /// Cycles until the count overflows, `None` while the timer is
+    /// stopped: [`IntervalTimer::tick`] with a delta at least this large
+    /// fires (reloads ICR and sets INT), any smaller one only counts. A
+    /// VMM runs its VM to this horizon without ticking the virtual timer
+    /// on the way.
+    pub fn cycles_to_fire(&self) -> Option<u64> {
+        if self.iccs & Self::RUN == 0 || self.nicr >= 0 {
+            return None;
+        }
+        Some(0i64.saturating_sub(self.icr).max(0) as u64)
     }
 
     /// INT and IE both set: the timer is requesting an interrupt.
@@ -243,6 +256,9 @@ pub struct Machine {
     /// test per retire). Like the decode caches, not part of
     /// [`MachineState`]: purely diagnostic, never fed back.
     pub(crate) obs: ObsSink,
+    /// Fixed-point loop replay statistics ([`Machine::run_until`]);
+    /// diagnostic, like the decode-cache statistics.
+    pub(crate) loop_stats: LoopReplayStats,
     pub(crate) cycles: u64,
     /// Cycle count at the instant the most recent VM exit began, before
     /// any microcode trap-entry charge — the observability layer's
@@ -301,6 +317,7 @@ impl Machine {
             pending_irqs: Vec::new(),
             decode_scratch: None,
             obs: ObsSink::Off,
+            loop_stats: LoopReplayStats::default(),
             cycles: 0,
             exit_stamp: 0,
             counters: CpuCounters::default(),
@@ -421,10 +438,10 @@ impl Machine {
     }
 
     /// Snapshots the machine's metric families into a registry:
-    /// architectural counters, simulated cycles, decode-cache and
-    /// translation statistics and resident bytes, the exec tier in
-    /// effect, memory's working-set views and, while the sink is on,
-    /// its families ([`Obs::metrics`]).
+    /// architectural counters, simulated cycles, decode-cache,
+    /// translation and loop-replay statistics, cache resident bytes,
+    /// the exec tier in effect, memory's working-set views and, while
+    /// the sink is on, its families ([`Obs::metrics`]).
     /// A monitor's registry starts from this one and adds the VMM's.
     pub fn metrics(&self) -> Metrics {
         let mut m = Metrics::new();
@@ -454,6 +471,11 @@ impl Machine {
         m.counter("trans_chain_hits", ts.chain_hits);
         m.counter("trans_chain_links_severed", ts.chain_links_severed);
         m.counter("trans_invalidations", ts.invalidations);
+        m.counter("loop_replays", self.loop_stats.loop_replays);
+        m.counter(
+            "loop_replayed_instructions",
+            self.loop_stats.loop_replayed_instructions,
+        );
         for (cache, bytes) in [
             ("decode", self.icache.resident_bytes()),
             ("trans", self.trans.resident_bytes()),
@@ -1068,7 +1090,7 @@ impl Machine {
 
     /// The highest-priority deliverable interrupt, if any exceeds the
     /// current IPL.
-    fn pending_interrupt(&self) -> Option<(u8, u16)> {
+    pub(crate) fn pending_interrupt(&self) -> Option<(u8, u16)> {
         // Fast path for the instruction loop: nothing latched anywhere.
         if self.pending_irqs.is_empty() && self.sisr == 0 && !self.timer.interrupt_pending() {
             return None;

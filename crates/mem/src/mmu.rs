@@ -185,6 +185,24 @@ impl Mmu {
         self.tlb.invalidate_process();
     }
 
+    /// Loads all six base and length registers — (sbr, slr, p0br, p0lr,
+    /// p1br, p1lr), the order [`Mmu::bases`] reads them back in — with
+    /// one TLB flush: the six setters in turn would flush the whole TLB
+    /// twice and scan it four times for process entries, every pass
+    /// after the first finding nothing.
+    pub fn load_bases(
+        &mut self,
+        (sbr, slr, p0br, p0lr, p1br, p1lr): (u32, u32, u32, u32, u32, u32),
+    ) {
+        self.sbr = sbr;
+        self.slr = slr;
+        self.p0br = p0br;
+        self.p0lr = p0lr;
+        self.p1br = p1br;
+        self.p1lr = p1lr;
+        self.tlb.invalidate_all();
+    }
+
     /// Reads back (sbr, slr, p0br, p0lr, p1br, p1lr).
     pub fn bases(&self) -> (u32, u32, u32, u32, u32, u32) {
         (

@@ -367,6 +367,10 @@ fn prom_help(name: &str) -> &'static str {
         "trans_chain_hits" => "Direct superblock-to-superblock chain follows",
         "trans_chain_links_severed" => "Stale successor links severed after invalidation",
         "trans_invalidations" => "Translation-cache invalidation events",
+        "loop_replays" => "Fixed-point poll loops replayed instead of executed",
+        "loop_replayed_instructions" => {
+            "Instructions retired by fixed-point loop replay (diagnostic; included in instructions)"
+        }
         "code_cache_resident_bytes" => "Bytes of decode or translation cache slots allocated",
         "profile_samples" => "Profiler interval samples taken",
         "profile_overflow_cycles" => "Sampled cycles past the PC-bucket cap",

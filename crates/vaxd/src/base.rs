@@ -312,6 +312,20 @@ mod tests {
     }
 
     #[test]
+    fn hang_payload_replays_and_matches_standalone_oracle() {
+        let mut base = tiny_base();
+        let payload = hang_payload().expect("assembles");
+        let budget = 50_000_000;
+        let standalone = base.run_standalone(&payload, budget).expect("runs");
+        assert_eq!(standalone.status, RunStatus::Budget);
+        let mut child = base.fork_child().expect("forks");
+        let served = run_payload(&mut child, &payload, budget).expect("runs");
+        assert_eq!(served, standalone, "fork-serve == standalone, bit for bit");
+        let replay = child.machine().loop_replay_stats();
+        assert!(replay.loop_replayed_instructions > 0, "{replay:?}");
+    }
+
+    #[test]
     fn oversize_payload_is_typed_not_a_panic() {
         let mut base = tiny_base();
         let huge = vec![0u8; base.payload_room() as usize + 1];

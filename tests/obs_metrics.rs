@@ -315,6 +315,57 @@ fn exec_tier_gauge_names_the_tier_that_ran() {
     assert!(prom.contains("vax_exec_tier{tier=\"trans\"} 2\n"), "{prom}");
 }
 
+/// Fixed-point loop replay exports two counters. An E8 job (MiniVMS
+/// EditTrans in two VMs, whose KCALL start-I/O path polls its
+/// completion word) replays a large share of its instructions on the
+/// cache tier and none on the interpreter, which never replays; both
+/// tiers agree on cycles and counters, and a fleet sums the counters.
+#[test]
+fn loop_replay_counters_read_the_tier() {
+    let image = vax_os::build_image(&vax_os::OsConfig {
+        nproc: 6,
+        workload: vax_os::Workload::EditTrans,
+        iterations: 300,
+        quantum_ticks: 3,
+        tick_cycles: 2500,
+        ..vax_os::OsConfig::default()
+    })
+    .unwrap();
+    let run = |tier: ExecTier| {
+        let mut monitor = Monitor::new(MonitorConfig::default());
+        monitor.set_exec_tier(tier);
+        for _ in 0..2 {
+            vax_os::boot_in_monitor(&mut monitor, &image, VmConfig::default());
+        }
+        assert_eq!(monitor.run(2_000_000_000), RunExit::AllHalted);
+        monitor
+    };
+    let (interp, cache) = (run(ExecTier::Interp), run(ExecTier::Cache));
+    assert_eq!(interp.machine().cycles(), cache.machine().cycles());
+    assert_eq!(interp.machine().counters(), cache.machine().counters());
+    let (mi, mc) = (interp.metrics(), cache.metrics());
+    for name in ["loop_replays", "loop_replayed_instructions"] {
+        assert_eq!(mi.get_counter(name), Some(0), "{name} on interp");
+        assert!(mc.get_counter(name).unwrap() > 0, "{name} on cache");
+        let prom = mc.to_prometheus();
+        assert!(
+            prom.contains(&format!("# TYPE vax_{name} counter\n")),
+            "{prom}"
+        );
+    }
+    let replayed = mc.get_counter("loop_replayed_instructions").unwrap();
+    let retired = mc.get_counter("instructions").unwrap();
+    assert!(replayed * 5 > retired, "{replayed} of {retired} replayed");
+    let mut fleet = Fleet::new();
+    fleet.push(interp);
+    fleet.push(cache);
+    let agg = fleet.fleet_metrics();
+    assert_eq!(
+        agg.get_counter("loop_replayed_instructions"),
+        Some(replayed)
+    );
+}
+
 /// Cache storage is a level per cache, allocated as code first runs: a
 /// fresh fork holds none, a VM guest on the default cache tier fills
 /// only the decode cache (VM mode never translates), and a hot bare loop

@@ -8,7 +8,10 @@
 use proptest::prelude::*;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use vax_arch::{MachineVariant, Protection, Psl, Pte};
-use vax_cpu::{CpuCounters, ExecTier, Machine, StepEvent, IO_BASE_PA};
+use vax_cpu::{
+    CpuCounters, DecodeCacheStats, ExecTier, IntervalTimer, LoopReplayStats, Machine, StepEvent,
+    IO_BASE_PA,
+};
 use vax_mem::PhysMemory;
 use vax_os::{boot_in_monitor, build_image, OsConfig, Workload};
 use vax_vmm::{ExitCause, Monitor, MonitorConfig, RunExit, ShadowConfig, VmConfig, VmStats};
@@ -801,5 +804,341 @@ fn minivms_edit_trans_in_two_vms_is_tier_invariant() {
     assert!(oracle.world_switches > 0 && oracle.counters.tlb_misses > 0);
     for tier in [ExecTier::Cache, ExecTier::Trans] {
         assert_eq!(run(tier), oracle, "{tier:?} diverged from interpreter");
+    }
+}
+
+/// Where a generated poll-loop guest keeps its data (guest-physical):
+/// a KCALL request block whose STATUS word is the word every loop
+/// polls, 16 pointers into the data region (for `@d(r5)`), a cell
+/// holding the word's address (for `@(r8)`), and 32 KiB the loop
+/// bodies read.
+const POLL_REQ: u32 = 0x4000;
+const POLL_WORD: u32 = POLL_REQ + 16;
+const POLL_PTRS: u32 = 0x4100;
+const POLL_CELL: u32 = 0x4200;
+const POLL_DATA: u32 = 0x8000;
+
+/// A read operand: (addressing mode, the number picking its register,
+/// displacement or value).
+type PollOperand = (u8, u32);
+/// A loop-body instruction: (kind, operand size, two operands).
+type PollInstr = (u8, u8, PollOperand, PollOperand);
+/// A polling guest: (what ends the poll: 0 a KCALL disk completion, 1
+/// the virtual timer's handler, 2 nothing but the budget; run at IPL 0;
+/// the loop body; how the loop closes; how it addresses the polled
+/// word; a seed for registers, sector, length and timer interval).
+type PollGuest = (u8, bool, Vec<PollInstr>, u8, u8, u32);
+/// A poll case: (quantum, disk latency, budget, one or two guests).
+type PollCase = (u64, u64, u64, Vec<PollGuest>);
+
+const POLL_BRANCHES: [&str; 14] = [
+    "beql", "bneq", "bgtr", "bleq", "bgeq", "blss", "bgtru", "blequ", "bvc", "bvs", "bgequ",
+    "blssu", "brb", "brw",
+];
+
+fn poll_operand((mode, k): PollOperand, size: &str) -> String {
+    let r = 1 + k % 3;
+    let imm = match size {
+        "b" => k % 0x100,
+        "w" => k % 0x1_0000,
+        _ => k,
+    };
+    match mode % 11 {
+        0 => format!("r{}", k % 6),
+        1 => format!("#{}", k % 64),
+        2 => format!("#{imm}"),
+        3 => format!("@#{:#x}", POLL_DATA + k % 0x2000),
+        4 => format!("(r{r})"),
+        5 => format!("(r{r})+"),
+        6 => format!("-(r{r})"),
+        7 => format!("{}(r{r})", (k >> 8) as i8),
+        8 => format!("@{}(r5)", 4 * (k % 16)),
+        9 => format!("(r{r})[r4]"),
+        _ => "head".to_string(),
+    }
+}
+
+/// Body instruction `n`: mostly tests and branches replay accepts,
+/// sometimes a read-only branch it does not (BLBC) or a register write.
+fn poll_instr(&(kind, size, a, b): &PollInstr, n: usize) -> String {
+    let sz = ["b", "w", "l"][usize::from(size % 3)];
+    match kind % 8 {
+        0 | 1 => format!("tst{sz} {}", poll_operand(a, sz)),
+        2 | 3 => format!("cmp{sz} {}, {}", poll_operand(a, sz), poll_operand(b, sz)),
+        4 => format!("bitl {}, {}", poll_operand(a, "l"), poll_operand(b, "l")),
+        5 => format!("{} n{n}\nn{n}:", POLL_BRANCHES[(a.1 % 14) as usize]),
+        6 => format!("blbc {}, n{n}\nn{n}:", poll_operand(a, "l")),
+        _ => format!("movl {}, r11", poll_operand(a, "l")),
+    }
+}
+
+/// The test and branch that close the loop while the word is 0.
+fn poll_closing(form: u8, wmode: u8) -> String {
+    let w = match wmode % 6 {
+        0 => format!("@#{POLL_WORD:#x}"),
+        1 => "(r6)".to_string(),
+        2 => "16(r7)".to_string(),
+        3 => "@(r8)".to_string(),
+        4 => "(r9)[r10]".to_string(),
+        _ => format!("@#{:#x}[r10]", POLL_WORD - 8),
+    };
+    match form % 5 {
+        0 => format!("tstl {w}\nbeql head"),
+        1 => format!("cmpl {w}, #0\nbeql head"),
+        2 => format!("bitl #1, {w}\nbeql head"),
+        3 => format!("tstl {w}\nbneq out\nbrb head"),
+        _ => format!("cmpl #0, {w}\nbneq out\nbrw head"),
+    }
+}
+
+/// A guest that arms what will end its poll, polls the word through
+/// its loop and halts once the word is set. The timer handler sets the
+/// word and stops the timer; the device handler only returns.
+fn poll_guest_program((kind, low_ipl, body, form, wmode, seed): &PollGuest) -> String {
+    let arm = match kind % 3 {
+        0 => format!(
+            "movl #1, @#{POLL_REQ:#x}
+            movl #{}, @#{:#x}
+            movl #0xC000, @#{:#x}
+            movl #{}, @#{:#x}
+            mtpr #{POLL_REQ:#x}, #201",
+            seed % 64,
+            POLL_REQ + 4,
+            POLL_REQ + 8,
+            4 * (seed % 129),
+            POLL_REQ + 12,
+        ),
+        1 => format!(
+            "mtpr #-{}, #25
+            mtpr #0x51, #24",
+            500 + seed % 60_000
+        ),
+        _ => String::new(),
+    };
+    let ipl = if *low_ipl || kind % 3 == 1 { 0 } else { 31 };
+    let body: Vec<String> = body
+        .iter()
+        .enumerate()
+        .map(|(n, i)| poll_instr(i, n))
+        .collect();
+    format!(
+        "start:
+            mtpr #0x200, #17
+            mtpr #4, #19
+            mtpr #0x3000, #4
+            mtpr #0x3800, #0
+            pushl #0x001F0000
+            pushal main
+            rei
+        main:
+            movl #{seed}, r0
+            movl #{}, r1
+            movl #{}, r2
+            movl #{}, r3
+            movl #{}, r4
+            movl #{POLL_PTRS:#x}, r5
+            movl #{POLL_WORD:#x}, r6
+            movl #{POLL_REQ:#x}, r7
+            movl #{POLL_CELL:#x}, r8
+            movl #{:#x}, r9
+            movl #2, r10
+            {arm}
+            mtpr #{ipl}, #18
+        head:
+            {}
+            {}
+        out:
+            halt
+            .align 4
+        tick:
+            movl #1, @#{POLL_WORD:#x}
+            mtpr #0x80, #24
+            rei
+            .align 4
+        dev:
+            rei
+        ",
+        POLL_DATA + seed % 0x2000,
+        POLL_DATA + (seed >> 8) % 0x2000,
+        POLL_DATA + (seed >> 16) % 0x2000,
+        seed % 8,
+        POLL_WORD - 8,
+        body.join("\n"),
+        poll_closing(*form, *wmode),
+    )
+}
+
+/// Everything a poll-loop monitor run reveals.
+#[derive(Debug, PartialEq)]
+struct PollOutcome {
+    exit: RunExit,
+    cycles: u64,
+    counters: CpuCounters,
+    todr: u32,
+    world_switches: u64,
+    vmm_cycles: u64,
+    vms: Vec<(VmStats, [u32; 16], IntervalTimer)>,
+    mem_digest: u64,
+}
+
+/// Runs `case` under `tier`: its outcome, decode-cache statistics and
+/// loop-replay statistics.
+fn run_poll(case: &PollCase, tier: ExecTier) -> (PollOutcome, DecodeCacheStats, LoopReplayStats) {
+    let (quantum, latency, budget, guests) = case;
+    let mut mon = Monitor::new(MonitorConfig {
+        mem_bytes: 2 << 20,
+        quantum: *quantum,
+        vdisk_latency: *latency,
+        ..MonitorConfig::default()
+    });
+    mon.set_exec_tier(tier);
+    let data: Vec<u8> = (0..0x8000u32)
+        .map(|i| {
+            if (i / 8) % 3 == 0 {
+                0
+            } else {
+                (i * 7 + 3) as u8
+            }
+        })
+        .collect();
+    let ptrs: Vec<u8> = (0..16u32)
+        .flat_map(|i| (POLL_DATA + 0x200 * i).to_le_bytes())
+        .collect();
+    let vms: Vec<_> = guests
+        .iter()
+        .map(|g| {
+            let (p, sym) = vax_asm::assemble_text_with_symbols(&poll_guest_program(g), 0x1000)
+                .expect("assembles");
+            let vm = mon.create_vm("poll", VmConfig::default());
+            mon.vm_write_phys(vm, 0x1000, &p.bytes).unwrap();
+            mon.vm_write_phys(vm, 0x200 + 0xC0, &sym["tick"].to_le_bytes())
+                .unwrap();
+            mon.vm_write_phys(vm, 0x200 + 0x100, &sym["dev"].to_le_bytes())
+                .unwrap();
+            mon.vm_write_phys(vm, POLL_PTRS, &ptrs).unwrap();
+            mon.vm_write_phys(vm, POLL_CELL, &POLL_WORD.to_le_bytes())
+                .unwrap();
+            mon.vm_write_phys(vm, POLL_DATA, &data).unwrap();
+            mon.boot_vm(vm, 0x1000);
+            vm
+        })
+        .collect();
+    let exit = mon.run(*budget);
+    let out = PollOutcome {
+        exit,
+        cycles: mon.machine().cycles(),
+        counters: mon.machine().counters(),
+        todr: mon.machine().export_state().todr,
+        world_switches: mon.world_switches(),
+        vmm_cycles: mon.vmm_cycles(),
+        vms: vms
+            .iter()
+            .map(|&vm| (mon.vm_stats(vm), mon.vm(vm).regs, mon.vm(vm).vtimer))
+            .collect(),
+        mem_digest: digest(mon.machine().mem()),
+    };
+    (
+        out,
+        mon.machine().decode_cache_stats(),
+        mon.machine().loop_replay_stats(),
+    )
+}
+
+/// Runs `case` on all three tiers, asserts they agree, and returns the
+/// cache tier's replay statistics. The interpreter never replays; the
+/// cache and trans tiers (the latter runs VM guests through the decode
+/// cache) must also agree on decode-cache statistics and on what they
+/// replayed.
+fn assert_poll_tiers_agree(case: &PollCase) -> (PollOutcome, LoopReplayStats) {
+    let (oracle, _, interp) = run_poll(case, ExecTier::Interp);
+    assert_eq!(
+        interp,
+        LoopReplayStats::default(),
+        "the interpreter replays nothing"
+    );
+    let (cache, cache_dc, cache_replay) = run_poll(case, ExecTier::Cache);
+    let (trans, trans_dc, trans_replay) = run_poll(case, ExecTier::Trans);
+    assert_eq!(cache, oracle, "cache diverged from interpreter");
+    assert_eq!(trans, oracle, "trans diverged from interpreter");
+    assert_eq!(cache_dc, trans_dc, "decode-cache statistics");
+    assert_eq!(cache_replay, trans_replay, "loop replay");
+    (oracle, cache_replay)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// VM guests polling a word through random read-only loop bodies
+    /// (random addressing modes, autoincrement and autodecrement
+    /// included) while a KCALL disk completion, the virtual timer, a
+    /// world switch or the run's budget ends or interrupts the poll —
+    /// often mid-pass. Replay must be invisible.
+    #[test]
+    fn poll_loops_are_tier_invariant(
+        case in (
+            2_000u64..40_000,
+            500u64..60_000,
+            20_000u64..400_000,
+            proptest::collection::vec(
+                (
+                    any::<u8>(),
+                    any::<bool>(),
+                    proptest::collection::vec(
+                        (
+                            any::<u8>(),
+                            any::<u8>(),
+                            (any::<u8>(), any::<u32>()),
+                            (any::<u8>(), any::<u32>()),
+                        ),
+                        0..3,
+                    ),
+                    any::<u8>(),
+                    any::<u8>(),
+                    any::<u32>(),
+                ),
+                1..3,
+            ),
+        ),
+    ) {
+        assert_poll_tiers_agree(&case);
+    }
+}
+
+/// `tstl @#word; beql head` replays on the cache tier through each
+/// event that can end or interrupt a poll: a KCALL disk completion, the
+/// virtual timer, world switches (two VMs, a short quantum) and the
+/// run's budget.
+#[test]
+fn poll_loops_replay_through_every_vmm_event() {
+    let plain = |kind: u8| (kind, false, Vec::new(), 0, 0, 30_000);
+    let cases: [(&str, PollCase, RunExit); 4] = [
+        (
+            "disk",
+            (50_000, 30_000, 5_000_000, vec![plain(0)]),
+            RunExit::AllHalted,
+        ),
+        (
+            "timer",
+            (50_000, 2_000, 5_000_000, vec![plain(1)]),
+            RunExit::AllHalted,
+        ),
+        (
+            "world switch",
+            (5_000, 60_000, 200_000, vec![plain(0), plain(2)]),
+            RunExit::BudgetExhausted,
+        ),
+        (
+            "budget",
+            (50_000, 2_000, 123_457, vec![plain(2)]),
+            RunExit::BudgetExhausted,
+        ),
+    ];
+    for (what, case, exit) in cases {
+        let (out, replay) = assert_poll_tiers_agree(&case);
+        assert_eq!(out.exit, exit, "{what}");
+        assert!(replay.loop_replays > 0, "{what}: {replay:?}");
+        if what == "world switch" {
+            assert!(out.world_switches > 4, "{what}: {}", out.world_switches);
+        }
     }
 }
